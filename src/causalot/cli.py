@@ -12,15 +12,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
 
 from . import coupling as coupling_mod
 from .causality import check_map_causal, check_plan_causal
-from .measures import (Dirac, DiscreteMeasure, Exponential, Family, Gamma,
-                       Gaussian, LevyFirstPassage, Uniform, discretize,
-                       family_from_dict)
+from .measures import (_FAMILY_FIELDS, DiscreteMeasure, Exponential, Family, Gamma,
+                       discretize, family_from_dict)
 from .plans import (TransportPlan, brownian_passage_conditional_cdf,
                     conditional_cdf_grid, independent_sum_plan, mix_plans,
                     product_plan)
@@ -61,35 +61,26 @@ def _echo(config: dict) -> None:
     print(json.dumps({"config": config}))
 
 
-_FAMILY_TOKENS = {
-    "exp": (Exponential, 1), "exponential": (Exponential, 1),
-    "gamma": (Gamma, 2),
-    "gauss": (Gaussian, 2), "gaussian": (Gaussian, 2), "normal": (Gaussian, 2),
-    "dirac": (Dirac, 1),
-    "uniform": (Uniform, 2),
-    "levy": (LevyFirstPassage, 1), "levy_first_passage": (LevyFirstPassage, 1),
-}
+_FAMILY_ALIASES = {"exp": "exponential", "gauss": "gaussian", "normal": "gaussian",
+                   "levy": "levy_first_passage"}
 
 
 def parse_family_token(token: str) -> Family:
     """Compact family syntax: exp:0.01, gamma:2:0.01, gauss:0:1, dirac:700, ..."""
     name, _, rest = token.partition(":")
-    try:
-        cls, arity = _FAMILY_TOKENS[name.lower()]
-    except KeyError:
-        raise ValueError(f"unknown family token {token!r}") from None
+    tag = _FAMILY_ALIASES.get(name.lower(), name.lower())
+    if tag not in _FAMILY_FIELDS:
+        raise ValueError(f"unknown family token {token!r}")
+    fields = _FAMILY_FIELDS[tag][1]
     parts = rest.split(":") if rest else []
-    if len(parts) != arity:
-        raise ValueError(f"family {name!r} takes {arity} parameter(s), got {len(parts)}")
+    if len(parts) != len(fields):
+        raise ValueError(
+            f"family {name!r} takes {len(fields)} parameter(s), got {len(parts)}")
     try:
         args = [float(p) for p in parts]
     except ValueError:
         raise ValueError(f"non-numeric parameter in {token!r}") from None
-    if cls is Gamma:
-        if args[0] != int(args[0]):
-            raise ValueError("gamma shape must be a positive integer")
-        return Gamma(int(args[0]), args[1])
-    return cls(*args)
+    return family_from_dict({"family": tag, **dict(zip(fields, args))})
 
 
 def _parse_tau_token(token: str):
@@ -186,7 +177,7 @@ def _cmd_couple(args) -> int:
                                          z=parse_family_token(args.z),
                                          samples=args.n, seed=args.seed)
         sample = coupling_mod.simulate(spec)
-    _write_sample_csv(sample, args.out)
+    _write_csv("X,tau,Z,Y", (sample.x, sample.tau, sample.z, sample.y), args.out)
     report = coupling_mod.verify_axioms(sample, confidence=args.confidence)
     report_path = args.report
     if report_path is None and args.out is not None:
@@ -195,22 +186,15 @@ def _cmd_couple(args) -> int:
     return 0 if report.passed else 2
 
 
-def _write_sample_csv(sample, out: str | None) -> None:
-    lines = ["X,tau,Z,Y"]
-    for xi, ti, zi, yi in zip(sample.x, sample.tau, sample.z, sample.y):
-        lines.append(f"{_fmt(xi)},{_fmt(ti)},{_fmt(zi)},{_fmt(yi)}")
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
-
-
-def _grid_csv(rows: np.ndarray, path: Path) -> None:
-    lines = ["x,y,F"]
-    for x, y, f in rows:
-        lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(f)}")
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(header: str, columns, out, chunk: int = 65_536) -> None:
+    """``header``, then one ``%.17g`` row per entry of ``columns``; stdout when out is None."""
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    rows = len(columns[0])
+    with nullcontext(sys.stdout) if out is None else open(out, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, rows, chunk):
+            block = np.column_stack([c[start:start + chunk] for c in columns])
+            fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def _cmd_example(args) -> int:
@@ -233,7 +217,7 @@ def _example_mixture(args, out_dir: Path) -> int:
     report = check_plan_causal(plan, tol=args.tol)
     axis = np.linspace(0.0, xmax, args.grid)
     rows = conditional_cdf_grid(plan, axis, axis)
-    _grid_csv(rows, out_dir / "mixture_grid.csv")
+    _write_csv("x,y,F", rows.T, out_dir / "mixture_grid.csv")
     _emit_json({"config": config, **report.to_dict()},
                str(out_dir / "mixture_report.json"))
     return 0 if report.causal else 2
@@ -263,7 +247,7 @@ def _example_brownian(args, out_dir: Path) -> int:
     rows[:, 1] = np.tile(ys, xs.size)
     rows[:, 2] = brownian_passage_conditional_cdf(args.lower, args.upper,
                                                   rows[:, 0], rows[:, 1])
-    _grid_csv(rows, out_dir / "brownian_grid.csv")
+    _write_csv("x,y,F", rows.T, out_dir / "brownian_grid.csv")
     return 0
 
 
@@ -376,7 +360,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

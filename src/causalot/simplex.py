@@ -23,18 +23,21 @@ class SimplexSettings:
     max_iterations: int = 50_000
     tolerance: float = 1e-9
 
+    def __post_init__(self):
+        if not self.tolerance >= 0:
+            raise ValueError(f"simplex tolerance must be nonnegative, got {self.tolerance!r}")
+
 
 @dataclass
 class SimplexSolution:
     status: str  # "optimal" | "infeasible" | "iteration-limit"
-    x: np.ndarray | None
-    objective: float | None
     iterations: int
-    basis: np.ndarray | None
-    duals: np.ndarray | None
-    reduced_costs: np.ndarray | None
-    primal_residual: float | None
-    dual_gap: float | None
+    x: np.ndarray | None = None
+    objective: float | None = None
+    duals: np.ndarray | None = None
+    reduced_costs: np.ndarray | None = None
+    primal_residual: float | None = None
+    dual_gap: float | None = None
 
 
 def solve_standard_form(A, b, c, settings: SimplexSettings | None = None) -> SimplexSolution:
@@ -114,7 +117,7 @@ def solve_standard_form(A, b, c, settings: SimplexSettings | None = None) -> Sim
                 col = int(np.argmin(masked))
             row = ratio_row(col, bland=stall >= stall_limit)
             if row is None:
-                if phase_one:  # pragma: no cover - phase 1 is bounded below
+                if phase_one:  # only a tolerance above every coefficient gets here
                     raise RuntimeError("phase 1 claims an unbounded direction")
                 raise RuntimeError("LP is unbounded below")
             step = tab[row, cols] / tab[row, col]
@@ -128,12 +131,10 @@ def solve_standard_form(A, b, c, settings: SimplexSettings | None = None) -> Sim
 
     status = run_phase(rows, phase_one=True)
     if status == "iteration-limit":
-        return SimplexSolution("iteration-limit", None, None, iterations,
-                               None, None, None, None, None)
+        return SimplexSolution("iteration-limit", iterations)
     infeasibility = -tab[rows, cols]
     if infeasibility > 1e-7:
-        return SimplexSolution("infeasible", None, None, iterations,
-                               None, None, None, None, None)
+        return SimplexSolution("infeasible", iterations)
 
     # Drive leftover artificials out of the basis or retire their rows.
     for i in range(rows):
@@ -150,8 +151,7 @@ def solve_standard_form(A, b, c, settings: SimplexSettings | None = None) -> Sim
 
     status = run_phase(rows + 1, phase_one=False)
     if status == "iteration-limit":
-        return SimplexSolution("iteration-limit", None, None, iterations,
-                               None, None, None, None, None)
+        return SimplexSolution("iteration-limit", iterations)
 
     # Recompute everything from the final basis against the original data.
     act = np.flatnonzero(active)
@@ -180,5 +180,5 @@ def solve_standard_form(A, b, c, settings: SimplexSettings | None = None) -> Sim
         duals = np.where(flip, -duals, duals)
     else:
         reduced, gap = None, None
-    return SimplexSolution("optimal", x, objective, iterations, basis.copy(),
-                           duals, reduced, residual, gap)
+    return SimplexSolution("optimal", iterations, x, objective, duals, reduced,
+                           residual, gap)

@@ -1,9 +1,15 @@
 """Linear programming for causal transport between discrete measures.
 
-The causal polytope is the usual transportation polytope cut by equality
-rows that force conditional CDFs to agree above each target atom.  The
-LP is solved by the dense two-phase simplex in :mod:`causalot.simplex`;
-optimality is certified separately from the reported duals.
+A causal plan on the real line has an explicit form: every source atom
+x_k strictly above a target atom y_j puts the same conditional mass q_j
+on it, so those plan entries are w_k * q_j.  The LP is posed in that
+reduced form.  Its variables are q and the plan entries with x_k <= y_j;
+its rows are the marginals alone, and causality holds by substitution.
+The LP view of causal transport follows Backhoff, Beiglboeck, Lin and
+Zalashko, "Causal transport in discrete time and applications" (SIAM J.
+Optim. 2017).  The LP is solved by the dense two-phase simplex in
+:mod:`causalot.simplex`; optimality is certified separately from the
+reported duals.
 """
 from __future__ import annotations
 
@@ -11,30 +17,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .causality import (causality_constraint_groups, check_cyclical_monotonicity,
-                        check_plan_causal)
+from .causality import check_cyclical_monotonicity, check_plan_causal
 from .measures import DiscreteMeasure
-from .plans import COST_FUNCTIONS, TransportPlan, evaluate_cost
+from .plans import TransportPlan, evaluate_cost
 from .simplex import SimplexSettings, solve_standard_form
 
 
 @dataclass
 class LpProblem:
-    """Equality-form LP data for one causal transport instance.
+    """Reduced equality-form LP data for one causal transport instance.
 
-    Variables are the plan entries flattened row-major.  ``row_kinds``
-    tags each constraint row: ("source", i), ("target", j), or
-    ("causal", target_index, row, anchor).  The target-marginal row for
-    the last atom is dropped as redundant.
+    ``shared[k, j]`` marks the plan entries with x_k > y_j, which equal
+    w_k * q_j.  The variables are q_j for the J target atoms that some
+    source atom lies strictly above (a prefix, as supports are sorted),
+    then the unshared plan entries in row-major order.  The rows are the
+    n source marginals and the target marginals but the last, which is
+    redundant.  ``plan_mass`` and ``variables`` translate between LP
+    vectors and plan masses.
     """
 
     source: DiscreteMeasure
     target: DiscreteMeasure
     cost_matrix: np.ndarray
+    shared: np.ndarray
     matrix: np.ndarray
     rhs: np.ndarray
     objective: np.ndarray
-    row_kinds: list[tuple]
 
     @property
     def n_rows(self) -> int:
@@ -44,52 +52,54 @@ class LpProblem:
     def n_vars(self) -> int:
         return self.matrix.shape[1]
 
+    def plan_mass(self, x) -> np.ndarray:
+        """The (n, m) plan mass of an LP vector."""
+        n_q = int(self.shared[-1].sum())
+        mass = np.zeros(self.shared.shape)
+        mass[:, :n_q] = np.outer(self.source.weights, x[:n_q])
+        mass[~self.shared] = x[n_q:]
+        return mass
+
+    def variables(self, mass) -> np.ndarray:
+        """The LP vector of a plan mass; q comes from the last source row."""
+        mass = np.asarray(mass, dtype=float).reshape(self.shared.shape)
+        n_q = int(self.shared[-1].sum())
+        q = mass[-1, :n_q] / self.source.weights[-1]
+        return np.concatenate([q, mass[~self.shared]])
+
 
 def build_causal_lp(source: DiscreteMeasure, target: DiscreteMeasure, costfn) -> LpProblem:
     n, m = source.n, target.n
+    w = source.weights
     cost = evaluate_cost(costfn, source.support, target.support)
-    groups = causality_constraint_groups(source.support, target.support)
-    n_causal = sum(g.members.size - 1 for g in groups)
-    rows = n + (m - 1) + n_causal
-    A = np.zeros((rows, n * m))
-    rhs = np.zeros(rows)
-    kinds: list[tuple] = []
-    r = 0
-    for i in range(n):
-        A[r, i * m:(i + 1) * m] = 1.0
-        rhs[r] = source.weights[i]
-        kinds.append(("source", i))
-        r += 1
-    for j in range(m - 1):
-        A[r, j::m] = 1.0
-        rhs[r] = target.weights[j]
-        kinds.append(("target", j))
-        r += 1
-    # Equal conditional CDFs, cleared of denominators:
-    # w_anchor * sum_{l<=j} g[k, l] - w_k * sum_{l<=j} g[anchor, l] = 0.
-    for g in groups:
-        j = g.target_index
-        a = g.anchor
-        w_a = source.weights[a]
-        for k in g.members[1:]:
-            A[r, k * m:k * m + j + 1] = w_a
-            A[r, a * m:a * m + j + 1] = -source.weights[k]
-            kinds.append(("causal", j, int(k), a))
-            r += 1
-    return LpProblem(source=source, target=target, cost_matrix=cost, matrix=A,
-                     rhs=rhs, objective=cost.ravel(), row_kinds=kinds)
+    # Ties x_k == y_j stay unshared, as in causality_constraint_groups.
+    shared = source.support[:, None] > target.support[None, :]
+    n_q = int(shared[-1].sum())
+    free_k, free_j = np.nonzero(~shared)
+    free = n_q + np.arange(free_k.size)
+    A = np.zeros((n + m - 1, n_q + free.size))
+    A[:n, :n_q] = w[:, None] * shared[:, :n_q]
+    kept = np.arange(min(n_q, m - 1))
+    A[n + kept, kept] = (w @ shared)[kept]
+    A[free_k, free] = 1.0
+    to_kept = free_j < m - 1
+    A[n + free_j[to_kept], free[to_kept]] = 1.0
+    rhs = np.concatenate([w, target.weights[:-1]])
+    objective = np.concatenate([(w @ (shared * cost))[:n_q], cost[~shared]])
+    return LpProblem(source=source, target=target, cost_matrix=cost, shared=shared,
+                     matrix=A, rhs=rhs, objective=objective)
 
 
 @dataclass
 class SolveResult:
     status: str  # "optimal" | "infeasible" | "iteration-limit"
-    plan: TransportPlan | None
-    value: float | None
-    duals: np.ndarray | None
-    reduced_costs: np.ndarray | None
     iterations: int
-    primal_residual: float | None
-    dual_gap: float | None
+    plan: TransportPlan | None = None
+    value: float | None = None
+    duals: np.ndarray | None = None
+    reduced_costs: np.ndarray | None = None
+    primal_residual: float | None = None
+    dual_gap: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -107,11 +117,8 @@ def solve(problem: LpProblem, settings: SimplexSettings | None = None) -> SolveR
     """Run the two-phase simplex on a built instance."""
     sol = solve_standard_form(problem.matrix, problem.rhs, problem.objective, settings)
     if sol.status != "optimal":
-        return SolveResult(status=sol.status, plan=None, value=None, duals=None,
-                           reduced_costs=None, iterations=sol.iterations,
-                           primal_residual=None, dual_gap=None)
-    mass = sol.x.reshape(problem.source.n, problem.target.n)
-    plan = TransportPlan(problem.source, problem.target, mass)
+        return SolveResult(sol.status, sol.iterations)
+    plan = TransportPlan(problem.source, problem.target, problem.plan_mass(sol.x))
     return SolveResult(status="optimal", plan=plan, value=sol.objective,
                        duals=sol.duals, reduced_costs=sol.reduced_costs,
                        iterations=sol.iterations,
@@ -129,14 +136,21 @@ class CertificateReport:
 
 def certify(problem: LpProblem, x, duals, *, residual_tol: float = 1e-9,
             reduced_cost_tol: float = 1e-8) -> CertificateReport:
-    """Duality certificate for raw primal/dual vectors of a built instance."""
-    x = np.asarray(x, dtype=float).ravel()
+    """Duality certificate for a flattened plan mass and a dual vector.
+
+    The mass is mapped to LP variables with ``problem.variables``.  A plan
+    that the map does not reproduce is not causal, and the gap counts as
+    primal residual.
+    """
+    mass = np.asarray(x, dtype=float).ravel()
     failures = []
-    if x.size != problem.n_vars:
+    if mass.size != problem.shared.size:
         return CertificateReport(False, ["primal vector has the wrong length"])
-    if x.min() < -residual_tol:
-        failures.append(f"negative mass {x.min():g}")
-    residual = float(np.abs(problem.matrix @ x - problem.rhs).max())
+    if mass.min() < -residual_tol:
+        failures.append(f"negative mass {mass.min():g}")
+    x = problem.variables(mass)
+    residual = max(float(np.abs(problem.matrix @ x - problem.rhs).max()),
+                   float(np.abs(problem.plan_mass(x).ravel() - mass).max()))
     if residual > residual_tol:
         failures.append(f"primal residual {residual:g}")
     value = float(problem.objective @ x)

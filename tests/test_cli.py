@@ -2,10 +2,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from causalot.cli import main, parse_family_token
-from causalot.measures import Exponential, Gamma, Gaussian
+from causalot.cli import _write_csv, main, parse_family_token
+from causalot.measures import (Exponential, Gamma, Gaussian, LevyFirstPassage,
+                               Uniform)
 
 
 def write(path, obj):
@@ -38,6 +40,16 @@ class TestFamilyTokens:
     def test_non_numeric(self):
         with pytest.raises(ValueError, match="non-numeric"):
             parse_family_token("exp:fast")
+
+    def test_aliases_and_full_tags(self):
+        assert parse_family_token("normal:0:1") == Gaussian(0.0, 1.0)
+        assert parse_family_token("Exponential:2") == Exponential(2.0)
+        assert parse_family_token("levy:3") == LevyFirstPassage(3.0)
+        assert parse_family_token("uniform:0:1") == Uniform(0.0, 1.0)
+
+    def test_gamma_shape_must_be_integer(self):
+        with pytest.raises(ValueError, match="integer"):
+            parse_family_token("gamma:2.5:1")
 
 
 class TestDiscretize:
@@ -124,6 +136,24 @@ class TestSolve:
     def test_missing_nu(self, uniform3):
         assert main(["solve", uniform3]) == 1
 
+    def test_solver_runtime_error_is_one_line(self, tmp_path, uniform3, capsys):
+        # A tolerance above every LP coefficient leaves phase 1 with no
+        # pivot row, which the simplex reports as a RuntimeError.
+        nu = write(tmp_path / "nu.json",
+                   {"support": [0.5, 10.0], "weights": [0.5, 0.5]})
+        assert main(["solve", uniform3, nu, "--tol", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    def test_negative_tolerance_rejected(self, tmp_path, uniform3, capsys):
+        nu = write(tmp_path / "nu.json",
+                   {"support": [0.5, 10.0], "weights": [0.5, 0.5]})
+        assert main(["solve", uniform3, nu, "--tol", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: simplex tolerance must be nonnegative")
+        assert err.count("\n") == 1
+
 
 class TestCouple:
     def test_simulation_csv_and_report(self, tmp_path):
@@ -172,6 +202,17 @@ class TestCouple:
         code = main(["couple", "--x", "exp:one", "--tau", "inf", "--z", "exp:1",
                      "--n", "10", "--out", str(tmp_path / "s.csv")])
         assert code == 1
+
+
+def test_csv_writer_matches_per_row_format(tmp_path):
+    # Reference: the per-row f-string rendering, on awkward values and
+    # with a chunk size that does not divide the row count.
+    values = np.array([0.0, -0.0, 1 / 3, 1e-300, 2.5e17, np.inf, -np.inf, np.nan])
+    columns = (values, values[::-1], np.arange(values.size, dtype=float))
+    out = tmp_path / "t.csv"
+    _write_csv("a,b,c", columns, str(out), chunk=3)
+    rows = ["a,b,c"] + [",".join(f"{v:.17g}" for v in row) for row in zip(*columns)]
+    assert out.read_text() == "\n".join(rows) + "\n"
 
 
 class TestExample:

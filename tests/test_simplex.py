@@ -56,6 +56,12 @@ def test_iteration_limit_reported():
     assert sol.x is None
 
 
+@pytest.mark.parametrize("tolerance", [-1.0, float("nan")])
+def test_settings_reject_bad_tolerance(tolerance):
+    with pytest.raises(ValueError, match="nonnegative"):
+        SimplexSettings(tolerance=tolerance)
+
+
 def test_beale_degenerate_cycle_terminates():
     # A classic tableau that cycles under naive largest-coefficient pricing.
     A = np.array([

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog
 
-from causalot.causality import check_plan_causal
-from causalot.measures import DiscreteMeasure, Exponential, discretize
+from causalot.causality import causality_constraint_groups, check_plan_causal
+from causalot.measures import DiscreteMeasure, Exponential, Gamma, discretize
+from causalot.plans import evaluate_cost
 from causalot.plans import deterministic_plan, product_plan
 from causalot.simplex import SimplexSettings
 from causalot.solver import (build_causal_lp, certify, classic_ot_1d,
@@ -25,36 +28,125 @@ def random_instance(rng, max_atoms=8):
     return measure(), measure()
 
 
+def anchor_row_value(source, target, cost) -> float:
+    """Optimal value of the causal LP on all plan entries, with anchor rows.
+
+    One row per (target atom, source atom above it) equates that source
+    atom's conditional CDF with its group's anchor, solved by HiGHS.
+    """
+    n, m = source.n, target.n
+    w = source.weights
+    rows = [np.kron(np.eye(n), np.ones(m)), np.kron(np.ones(n), np.eye(m))]
+    for g in causality_constraint_groups(source.support, target.support):
+        for k in g.members[1:]:
+            row = np.zeros((n, m))
+            row[k, :g.target_index + 1] = w[g.anchor]
+            row[g.anchor, :g.target_index + 1] = -w[k]
+            rows.append(row.reshape(1, -1))
+    A = np.vstack(rows)
+    b = np.concatenate([w, target.weights, np.zeros(A.shape[0] - n - m)])
+    ref = linprog(evaluate_cost(cost, source.support, target.support).ravel(),
+                  A_eq=A, b_eq=b, method="highs")
+    assert ref.status == 0
+    return ref.fun
+
+
 class TestBuildCausalLp:
     def test_single_atom_each(self):
         problem = build_causal_lp(uniform_on([1.0]), uniform_on([2.0]), "abs")
         assert problem.n_rows == 1
         assert problem.n_vars == 1
-        assert problem.row_kinds == [("source", 0)]
+        assert not problem.shared.any()
 
-    def test_no_causality_rows_when_targets_sit_high(self):
-        problem = build_causal_lp(uniform_on([0.0, 1.0]), uniform_on([2.0, 3.0]), "abs")
+    def test_no_shared_columns_when_targets_sit_high(self):
+        # Every target at or above every source: the LP is plain transport.
+        problem = build_causal_lp(uniform_on([0.0, 1.0]), uniform_on([1.0, 3.0]), "abs")
         assert problem.n_rows == 3  # two sources, one kept target
-        assert [k[0] for k in problem.row_kinds] == ["source", "source", "target"]
+        assert problem.n_vars == 4
+        assert not problem.shared.any()
+        assert_allclose(problem.objective, problem.cost_matrix.ravel())
 
-    def test_one_causality_row(self):
+    def test_one_shared_column(self):
         problem = build_causal_lp(uniform_on([0.0, 1.0, 2.0]),
                                   uniform_on([0.5, 10.0]), "abs")
-        kinds = [k[0] for k in problem.row_kinds]
-        assert kinds == ["source", "source", "source", "target", "causal"]
-        causal_row = problem.matrix[-1]
-        # rows 1 and 2 both lie above 0.5; their leading cells must balance
-        assert causal_row @ np.ones(problem.n_vars) == pytest.approx(0.0)
-        assert problem.rhs[-1] == 0.0
+        assert problem.n_rows == 4
+        # q for the target 0.5, then the four entries with x_k <= y_j
+        assert problem.n_vars == 5
+        assert_allclose(problem.matrix[:3, 0], [0.0, 1 / 3, 1 / 3])
+        assert problem.matrix[3, 0] == pytest.approx(2 / 3)
+        assert problem.objective[0] == pytest.approx((0.5 + 1.5) / 3)
 
     def test_last_target_row_dropped(self):
         problem = build_causal_lp(uniform_on([0.0, 1.0]), uniform_on([-3.0, -2.0]), "abs")
-        target_rows = [k for k in problem.row_kinds if k[0] == "target"]
-        assert target_rows == [("target", 0)]
+        # Both targets lie below both sources: only q_0 and q_1 remain.
+        assert problem.n_rows == 3
+        assert problem.n_vars == 2
+        assert_allclose(problem.matrix[2], [1.0, 0.0])
+        assert_allclose(problem.rhs, [0.5, 0.5, 0.5])
 
     def test_cost_matrix_from_name(self):
         problem = build_causal_lp(uniform_on([0.0, 2.0]), uniform_on([1.0]), "square")
         assert_allclose(problem.cost_matrix, [[1.0], [1.0]])
+
+    def test_ties_stay_unshared(self):
+        problem = build_causal_lp(uniform_on([0.0, 1.0]), uniform_on([1.0, 2.0]), "abs")
+        assert not problem.shared.any()
+
+    def test_plan_round_trip(self):
+        problem = build_causal_lp(uniform_on([0.0, 1.0, 2.0]),
+                                  uniform_on([0.5, 1.0, 10.0]), "abs")
+        x = np.random.default_rng(0).random(problem.n_vars)
+        assert_allclose(problem.variables(problem.plan_mass(x)), x)
+
+    def test_gamma_60_size(self):
+        problem = build_causal_lp(discretize(Gamma(2, 0.01), 60),
+                                  discretize(Gamma(3, 0.01), 60), "abs")
+        assert isinstance(problem.matrix, np.ndarray)
+        assert problem.n_rows == 119
+        assert problem.n_vars == 2536
+
+    def test_gamma_200_builds_small(self):
+        problem = build_causal_lp(discretize(Gamma(2, 0.01), 200),
+                                  discretize(Gamma(3, 0.01), 200), "abs")
+        assert problem.n_rows == 399
+        assert problem.matrix.nbytes < 100e6
+
+
+small_measures = st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 8), min_size=n, max_size=n, unique=True),
+    st.lists(st.integers(1, 9), min_size=n, max_size=n)))
+
+
+@st.composite
+def instances(draw):
+    """Small measure pairs on one half-integer grid, so ties x_k == y_j are common."""
+    (xs, ws), (ys, vs) = draw(small_measures), draw(small_measures)
+    eta = DiscreteMeasure(np.sort(xs) * 0.5, np.asarray(ws) / sum(ws))
+    nu = DiscreteMeasure(np.sort(ys) * 0.5, np.asarray(vs) / sum(vs))
+    kind = draw(st.sampled_from(["abs", "square", "table"]))
+    if kind != "table":
+        return eta, nu, kind
+    table = draw(st.lists(st.integers(0, 20), min_size=eta.n * nu.n,
+                          max_size=eta.n * nu.n))
+    return eta, nu, np.reshape(table, (eta.n, nu.n)) * 0.25
+
+
+class TestReducedLpProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(instances())
+    def test_matches_anchor_row_lp(self, instance):
+        eta, nu, cost = instance
+        problem = build_causal_lp(eta, nu, cost)
+        result = solve(problem)
+        assert result.status == "optimal"
+        assert result.value == pytest.approx(anchor_row_value(eta, nu, cost),
+                                             abs=1e-8, rel=0)
+        assert verify_optimality(problem, result).ok
+        assert check_plan_causal(result.plan, tol=1e-8).causal
+        if isinstance(cost, str) and cost == "abs":
+            classic, _ = classic_ot_1d(eta, nu)
+            assert result.value >= classic - 1e-9
+            assert result.value <= product_plan(eta, nu).cost("abs") + 1e-9
 
 
 class TestSolve:
@@ -210,6 +302,35 @@ class TestCertificates:
         problem, _ = self.instance()
         limited = solve(problem, SimplexSettings(max_iterations=1))
         assert not verify_optimality(problem, limited).ok
+
+    def test_non_causal_plan_rejected(self):
+        # The comonotone plan has the right marginals, but both sources sit
+        # above the target 0 and send it different conditional mass.
+        eta, nu = uniform_on([1.0, 2.0]), uniform_on([0.0, 3.0])
+        problem = build_causal_lp(eta, nu, "abs")
+        result = solve(problem)
+        _, comonotone = classic_ot_1d(eta, nu)
+        report = certify(problem, comonotone.mass.ravel(), result.duals)
+        assert not report.ok
+        assert any("residual" in f for f in report.failures)
+
+    def test_non_causal_plan_with_causal_marginals_rejected(self):
+        # Rows 0 and 1 trade mass between the two low targets in opposite
+        # directions.  The LP vector read from the plan meets every marginal,
+        # so only the round trip back to the plan exposes the violation.
+        eta, nu = uniform_on([2.0, 3.0, 4.0]), DiscreteMeasure([0.0, 1.0, 5.0],
+                                                               [0.25, 0.25, 0.5])
+        problem = build_causal_lp(eta, nu, "abs")
+        result = solve(problem)
+        d = 0.05
+        mass = np.array([[1 / 12 + d, 1 / 12 - d, 1 / 6],
+                         [1 / 12 - d, 1 / 12 + d, 1 / 6],
+                         [1 / 12, 1 / 12, 1 / 6]])
+        x = problem.variables(mass)
+        assert np.abs(problem.matrix @ x - problem.rhs).max() < 1e-12
+        report = certify(problem, mass.ravel(), result.duals)
+        assert not report.ok
+        assert any("residual" in f for f in report.failures)
 
     def test_random_instances_all_certify(self):
         rng = np.random.default_rng(17)
