@@ -1,7 +1,6 @@
 """Causal optimal transport between probability measures on the real line."""
 
-from .causality import (CausalityReport, ConstraintGroup, MapCausalityReport,
-                        MonotonicityReport, causality_constraint_groups,
+from .causality import (CausalityReport, MapCausalityReport, MonotonicityReport,
                         check_cyclical_monotonicity, check_map_causal,
                         check_plan_causal)
 from .coupling import (AxiomReport, CouplingSample, CouplingSpec, TAU_EQUAL_TO_X,
@@ -20,13 +19,13 @@ from .solver import (CertificateReport, LpProblem, SolveResult,
                      solve, solve_causal_transport, verify_optimality)
 
 __all__ = [
-    "AxiomReport", "CausalityReport", "CertificateReport", "ConstraintGroup",
-    "COST_FUNCTIONS", "CouplingSample", "CouplingSpec", "Dirac",
+    "AxiomReport", "CausalityReport", "CertificateReport", "COST_FUNCTIONS",
+    "CouplingSample", "CouplingSpec", "Dirac",
     "DiscreteMeasure", "Exponential", "Family", "Gamma", "Gaussian", "Kernel",
     "LevyFirstPassage", "LpProblem", "MapCausalityReport", "MonotonicityReport",
     "SimplexSettings", "SolveResult", "TAU_EQUAL_TO_X", "TAU_NEVER",
     "TransportPlan", "Uniform", "brownian_passage_conditional_cdf",
-    "build_causal_lp", "causality_constraint_groups", "certify",
+    "build_causal_lp", "certify",
     "check_cyclical_monotonicity", "check_map_causal", "check_plan_causal",
     "classic_ot_1d", "conditional_cdf_grid", "coupling_from_plan",
     "deterministic_plan", "discretize", "empirical_cost", "evaluate_cost",

@@ -20,32 +20,6 @@ DEFAULT_PLAN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class ConstraintGroup:
-    """Rows whose conditional CDF at one target atom must agree.
-
-    ``anchor`` is the first source index strictly above the target atom
-    ``target_index``; ``members`` are all indices from the anchor up.
-    """
-
-    target_index: int
-    anchor: int
-    members: np.ndarray
-
-
-def causality_constraint_groups(source_support, target_support) -> list[ConstraintGroup]:
-    """One group per target atom with at least two source atoms strictly above it."""
-    xs = np.asarray(source_support, dtype=float)
-    ys = np.asarray(target_support, dtype=float)
-    anchors = np.searchsorted(xs, ys, side="right")
-    groups = []
-    for j, a in enumerate(anchors):
-        if xs.size - a >= 2:
-            groups.append(ConstraintGroup(target_index=j, anchor=int(a),
-                                          members=np.arange(a, xs.size)))
-    return groups
-
-
-@dataclass(frozen=True)
 class CausalityViolation:
     target_index: int
     row: int
@@ -72,33 +46,34 @@ class CausalityReport:
 
 
 def check_plan_causal(plan: TransportPlan, tol: float = DEFAULT_PLAN_TOL) -> CausalityReport:
-    """Largest disagreement of conditional CDFs against each group's anchor row."""
+    """Largest disagreement of conditional CDFs against each column's anchor row.
+
+    The anchor of target atom j is the first source atom strictly above it;
+    every source atom from the anchor up must share its conditional CDF at
+    j.  Columns with fewer than two such rows carry no constraint.
+    """
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     cdf = plan.conditional_cdf_matrix()
-    groups = causality_constraint_groups(plan.source.support, plan.target.support)
-    if not groups:
+    anchors = np.searchsorted(plan.source.support, plan.target.support, side="right")
+    cols = np.flatnonzero(plan.n - anchors >= 2)
+    if cols.size == 0:
         return CausalityReport(causal=True, max_deviation=0.0, tolerance=tol)
-    # Suffix extrema over rows give each group's worst member in one sweep.
+    # Suffix extrema over rows give each column's worst member in one sweep.
     suffix_max = np.maximum.accumulate(cdf[::-1], axis=0)[::-1]
     suffix_min = np.minimum.accumulate(cdf[::-1], axis=0)[::-1]
-    max_dev = 0.0
-    offenders = []
-    for g in groups:
-        a, j = g.anchor, g.target_index
-        dev = max(suffix_max[a, j] - cdf[a, j], cdf[a, j] - suffix_min[a, j])
-        if dev > max_dev:
-            max_dev = dev
-        if dev > tol:
-            offenders.append(g)
+    rows = anchors[cols]
+    at_anchor = cdf[rows, cols]
+    devs = np.maximum(suffix_max[rows, cols] - at_anchor, at_anchor - suffix_min[rows, cols])
+    max_dev = float(devs.max(initial=0.0))
+    offending = devs > tol
     violations = []
-    for g in offenders:
-        a, j = g.anchor, g.target_index
-        devs = np.abs(cdf[a:, j] - cdf[a, j])
-        for k in np.flatnonzero(devs > tol):
-            violations.append(CausalityViolation(target_index=j, row=int(a + k),
-                                                 deviation=float(devs[k])))
-    return CausalityReport(causal=bool(max_dev <= tol), max_deviation=float(max_dev),
+    for a, j in zip(rows[offending], cols[offending]):
+        row_devs = np.abs(cdf[a:, j] - cdf[a, j])
+        for k in np.flatnonzero(row_devs > tol):
+            violations.append(CausalityViolation(target_index=int(j), row=int(a + k),
+                                                 deviation=float(row_devs[k])))
+    return CausalityReport(causal=bool(max_dev <= tol), max_deviation=max_dev,
                            tolerance=tol, violations=violations)
 
 

@@ -118,7 +118,8 @@ def solve_standard_form(A, b, c, settings: SimplexSettings | None = None) -> Sim
             row = ratio_row(col, bland=stall >= stall_limit)
             if row is None:
                 if phase_one:  # only a tolerance above every coefficient gets here
-                    raise RuntimeError("phase 1 claims an unbounded direction")
+                    raise RuntimeError(f"no pivot row above tolerance {tol:g} in phase 1; "
+                                       "the tolerance is too large for this LP")
                 raise RuntimeError("LP is unbounded below")
             step = tab[row, cols] / tab[row, col]
             stall = stall + 1 if step <= 1e-12 else 0

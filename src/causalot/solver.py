@@ -8,8 +8,9 @@ its rows are the marginals alone, and causality holds by substitution.
 The LP view of causal transport follows Backhoff, Beiglboeck, Lin and
 Zalashko, "Causal transport in discrete time and applications" (SIAM J.
 Optim. 2017).  The LP is solved by the dense two-phase simplex in
-:mod:`causalot.simplex`; optimality is certified separately from the
-reported duals.
+:mod:`causalot.simplex`.  :func:`solve_causal_transport` reports an
+optimum only after LP duality certifies it from the reported duals and
+the plan passes the causality check.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Imported though unused: perfbench/tracing.py rebinds it here, as it does solve_standard_form.
 from .causality import check_cyclical_monotonicity, check_plan_causal
 from .measures import DiscreteMeasure
 from .plans import TransportPlan, evaluate_cost
@@ -72,7 +74,7 @@ def build_causal_lp(source: DiscreteMeasure, target: DiscreteMeasure, costfn) ->
     n, m = source.n, target.n
     w = source.weights
     cost = evaluate_cost(costfn, source.support, target.support)
-    # Ties x_k == y_j stay unshared, as in causality_constraint_groups.
+    # Ties x_k == y_j stay unshared, as in check_plan_causal.
     shared = source.support[:, None] > target.support[None, :]
     n_q = int(shared[-1].sum())
     free_k, free_j = np.nonzero(~shared)
@@ -212,25 +214,27 @@ def classic_ot_1d(source: DiscreteMeasure, target: DiscreteMeasure):
 
 def solve_causal_transport(source: DiscreteMeasure, target: DiscreteMeasure, costfn,
                            settings: SimplexSettings | None = None) -> SolveResult:
-    """Build and solve one instance, then re-verify causality of the output.
+    """Build and solve one instance, then certify the optimum and its causality.
 
-    An optimal plan that fails the causality re-check or admits a cheaper
-    local reshuffle indicates a numerical failure and raises rather than
-    being reported as optimal.
+    An optimum that fails its duality certificate or the causality re-check
+    indicates a numerical failure and raises rather than being reported.
+    The reshuffles :func:`check_cyclical_monotonicity` tries move mass only
+    among entries with x_k < y_j, which are free LP variables, so on a
+    certified optimum it finds no gain beyond the certificate's tolerances;
+    it stays a standalone check.
     """
     problem = build_causal_lp(source, target, costfn)
     result = solve(problem, settings)
     if result.status != "optimal":
         return result
+    cert = verify_optimality(problem, result)
+    if not cert.ok:
+        raise RuntimeError("solver output fails its duality certificate: "
+                           + "; ".join(cert.failures))
     report = check_plan_causal(result.plan, tol=1e-8)
     if not report.causal:
         raise RuntimeError(
             f"solver output violates causality by {report.max_deviation:g}")
-    mono = check_cyclical_monotonicity(result.plan, problem.cost_matrix,
-                                       max_subset=3, mass_tol=1e-9)
-    if not mono.ok:
-        raise RuntimeError(
-            f"solver output admits a cheaper reshuffle ({mono.worst_violation:g})")
     return result
 
 

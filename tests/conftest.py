@@ -1,0 +1,5 @@
+"""Hypothesis draws the same examples on every run and keeps no example database."""
+from hypothesis import settings
+
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from causalot.causality import (causality_constraint_groups,
-                                check_cyclical_monotonicity, check_map_causal,
+from causalot.causality import (check_cyclical_monotonicity, check_map_causal,
                                 check_plan_causal)
 from causalot.measures import (DiscreteMeasure, Exponential, Gaussian,
                                discretize)
@@ -16,28 +16,85 @@ def uniform_on(points):
     return DiscreteMeasure(points, np.full(points.size, 1.0 / points.size))
 
 
-class TestConstraintGroups:
+def brute_force_report(plan, tol) -> dict:
+    """check_plan_causal's report, from every (j, k >= anchor) pair in turn."""
+    cdf = plan.conditional_cdf_matrix()
+    xs, ys = plan.source.support, plan.target.support
+    max_dev = 0.0
+    violations = []
+    for j in range(ys.size):
+        anchor = next((k for k in range(xs.size) if xs[k] > ys[j]), xs.size)
+        if xs.size - anchor < 2:
+            continue
+        for k in range(anchor, xs.size):
+            dev = abs(cdf[k, j] - cdf[anchor, j])
+            max_dev = max(max_dev, dev)
+            if dev > tol:
+                violations.append({"j": j, "k": k, "dev": dev})
+    return {"causal": max_dev <= tol, "max_deviation": max_dev,
+            "tolerance": tol, "violations": violations}
+
+
+@st.composite
+def plans(draw):
+    """Integer-valued plans on a half-integer grid, so ties x_k == y_j are common."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    xs = draw(st.lists(st.integers(0, 8), min_size=n, max_size=n, unique=True))
+    ys = draw(st.lists(st.integers(0, 8), min_size=m, max_size=m, unique=True))
+    cells = draw(st.lists(st.integers(0, 3), min_size=n * m, max_size=n * m))
+    mass = np.reshape(cells, (n, m)).astype(float)
+    mass[mass.sum(axis=1) == 0, 0] = 1.0
+    mass[0, mass.sum(axis=0) == 0] = 1.0
+    mass /= mass.sum()
+    eta = DiscreteMeasure(np.sort(xs) * 0.5, mass.sum(axis=1))
+    nu = DiscreteMeasure(np.sort(ys) * 0.5, mass.sum(axis=0))
+    if draw(st.booleans()):
+        return product_plan(eta, nu)
+    return TransportPlan(eta, nu, mass)
+
+
+class TestAnchorConventions:
     def test_anchor_is_strictly_above(self):
-        groups = causality_constraint_groups([0.0, 1.0, 2.0, 3.0], [1.0])
-        assert len(groups) == 1
-        g = groups[0]
-        assert g.anchor == 2  # the atom at 1.0 itself does not count
-        assert_allclose(g.members, [2, 3])
+        # The source atom at 1.0 ties the target atom and is no member of
+        # its group, so it may disagree with the rows above it.
+        eta = uniform_on([0.0, 1.0, 2.0, 3.0])
+        plan = deterministic_plan(eta, [1.0, 1.0, 4.0, 4.0])
+        report = check_plan_causal(plan, tol=0.0)
+        assert report.causal
+        assert report.max_deviation == 0.0
+        # Rows 2 and 3 disagree: the anchor is row 2, so only row 3 offends.
+        plan = deterministic_plan(eta, [1.0, 4.0, 1.0, 4.0])
+        report = check_plan_causal(plan, tol=0.0)
+        assert [(v.target_index, v.row) for v in report.violations] == [(0, 3)]
 
     def test_groups_with_fewer_than_two_rows_dropped(self):
         # Above 2.5 only one source atom remains; above 3.5 none.
-        groups = causality_constraint_groups([0.0, 1.0, 2.0, 3.0], [2.5, 3.5])
-        assert groups == []
+        eta = uniform_on([0.0, 1.0, 2.0, 3.0])
+        plan = deterministic_plan(eta, [2.5, 2.5, 3.5, 2.5])
+        report = check_plan_causal(plan, tol=0.0)
+        assert report.causal
+        assert report.max_deviation == 0.0
+        assert report.violations == []
 
     def test_target_strictly_below_everything(self):
-        groups = causality_constraint_groups([1.0, 2.0], [0.0])
-        assert len(groups) == 1
-        assert groups[0].anchor == 0
-        assert groups[0].members.size == 2
+        # Both sources sit above the target 0, so row 0 anchors its column.
+        eta = uniform_on([1.0, 2.0])
+        plan = deterministic_plan(eta, [0.0, 3.0])
+        report = check_plan_causal(plan)
+        assert [(v.target_index, v.row, v.deviation) for v in report.violations] == [
+            (0, 1, 1.0)]
 
     def test_one_group_per_eligible_target_atom(self):
-        groups = causality_constraint_groups([0.0, 1.0, 2.0], [0.5, 1.5])
-        assert [g.target_index for g in groups] == [0]
+        eta = uniform_on([0.0, 1.0, 2.0])
+        plan = deterministic_plan(eta, [1.5, 0.5, 1.5])
+        report = check_plan_causal(plan)
+        assert [v.target_index for v in report.violations] == [0]
+        assert [v.row for v in report.violations] == [2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(plans(), st.sampled_from([0.0, 1e-9, 0.2]))
+    def test_matches_brute_force(self, plan, tol):
+        assert check_plan_causal(plan, tol=tol).to_dict() == brute_force_report(plan, tol)
 
 
 class TestCheckPlanCausal:

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import causalot.solver as solver_module
 from causalot.cli import _write_csv, main, parse_family_token
 from causalot.measures import (Exponential, Gamma, Gaussian, LevyFirstPassage,
                                Uniform)
@@ -144,6 +145,23 @@ class TestSolve:
         assert main(["solve", uniform3, nu, "--tol", "1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
+        assert "tolerance" in err
+        assert err.count("\n") == 1
+
+    def test_failed_certificate_is_one_line(self, tmp_path, uniform3, capsys, monkeypatch):
+        real_solve = solver_module.solve
+
+        def solve_with_corrupted_duals(problem, settings=None):
+            result = real_solve(problem, settings)
+            result.duals[0] += 0.25
+            return result
+
+        monkeypatch.setattr(solver_module, "solve", solve_with_corrupted_duals)
+        nu = write(tmp_path / "nu.json",
+                   {"support": [0.5, 10.0], "weights": [0.5, 0.5]})
+        assert main(["solve", uniform3, nu]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: solver output fails its duality certificate")
         assert err.count("\n") == 1
 
     def test_negative_tolerance_rejected(self, tmp_path, uniform3, capsys):

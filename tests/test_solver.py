@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog
 
-from causalot.causality import causality_constraint_groups, check_plan_causal
+import causalot.solver as solver_module
+from causalot.causality import check_cyclical_monotonicity, check_plan_causal
 from causalot.measures import DiscreteMeasure, Exponential, Gamma, discretize
 from causalot.plans import evaluate_cost
 from causalot.plans import deterministic_plan, product_plan
@@ -37,11 +38,12 @@ def anchor_row_value(source, target, cost) -> float:
     n, m = source.n, target.n
     w = source.weights
     rows = [np.kron(np.eye(n), np.ones(m)), np.kron(np.ones(n), np.eye(m))]
-    for g in causality_constraint_groups(source.support, target.support):
-        for k in g.members[1:]:
+    anchors = np.searchsorted(source.support, target.support, side="right")
+    for j, a in enumerate(anchors):
+        for k in range(a + 1, n):
             row = np.zeros((n, m))
-            row[k, :g.target_index + 1] = w[g.anchor]
-            row[g.anchor, :g.target_index + 1] = -w[k]
+            row[k, :j + 1] = w[a]
+            row[a, :j + 1] = -w[k]
             rows.append(row.reshape(1, -1))
     A = np.vstack(rows)
     b = np.concatenate([w, target.weights, np.zeros(A.shape[0] - n - m)])
@@ -49,6 +51,13 @@ def anchor_row_value(source, target, cost) -> float:
                   A_eq=A, b_eq=b, method="highs")
     assert ref.status == 0
     return ref.fun
+
+
+def solve_with_corrupted_duals(problem, settings=None):
+    """An optimal solve whose first dual is off, as in TestCertificates."""
+    result = solve(problem, settings)
+    result.duals[0] += 0.25
+    return result
 
 
 class TestBuildCausalLp:
@@ -147,6 +156,26 @@ class TestReducedLpProperties:
             classic, _ = classic_ot_1d(eta, nu)
             assert result.value >= classic - 1e-9
             assert result.value <= product_plan(eta, nu).cost("abs") + 1e-9
+
+
+class TestCertifiedPipeline:
+    @settings(max_examples=150, deadline=None)
+    @given(instances())
+    def test_optimum_certified_and_monotone(self, instance):
+        eta, nu, cost = instance
+        result = solve_causal_transport(eta, nu, cost)
+        problem = build_causal_lp(eta, nu, cost)
+        assert verify_optimality(problem, result).ok
+        # The audit the pipeline ran before certification replaced it.
+        assert check_cyclical_monotonicity(result.plan, problem.cost_matrix,
+                                           max_subset=3, mass_tol=1e-9).ok
+
+    def test_failed_certificate_raises(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "solve", solve_with_corrupted_duals)
+        eta = uniform_on([0.0, 1.0, 2.0])
+        nu = DiscreteMeasure([0.5, 10.0], [0.5, 0.5])
+        with pytest.raises(RuntimeError, match="certificate"):
+            solve_causal_transport(eta, nu, "abs")
 
 
 class TestSolve:
