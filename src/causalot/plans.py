@@ -31,8 +31,8 @@ class TransportPlan:
         if mass.shape != (source.n, target.n):
             raise ValueError(
                 f"mass must have shape {(source.n, target.n)}, got {mass.shape}")
-        if mass.min(initial=0.0) < _MASS_FLOOR:
-            raise ValueError("mass entries must be nonnegative")
+        if not mass.min(initial=0.0) >= _MASS_FLOOR:  # NaN fails too
+            raise ValueError("mass entries must be nonnegative numbers")
         mass[mass < 0.0] = 0.0
         row_err = np.abs(mass.sum(axis=1) - source.weights).max()
         col_err = np.abs(mass.sum(axis=0) - target.weights).max()

@@ -3,10 +3,16 @@
 Solves  min c'x  subject to  A x = b, x >= 0  on a full tableau.  Phase 1
 starts from an all-artificial basis but never materializes the artificial
 columns; both objective rows ride along in the tableau so phase 2 can
-continue in place.  Pricing is Dantzig's most-negative rule with a switch
-to Bland's rule after a run of degenerate pivots, which guarantees
-termination.  The reported solution is recomputed from the final basis by
-a fresh factorization, so residuals do not inherit pivot drift.
+continue in place.  A caller that knows a feasible vertex passes it as
+``start``: crash pivots move its support into the basis, one per column,
+and phase 1 begins there; a start that yields no feasible basis is
+dropped.  Artificials left in the basis after phase 1 are driven out by
+the admissible column with the most negative phase-2 reduced cost, the
+one phase 2 would price first.  Pricing is Dantzig's most-negative rule
+with a switch to Bland's rule after a run of degenerate pivots, which
+guarantees termination.  The reported solution is recomputed from the
+final basis by a fresh factorization, so residuals do not inherit pivot
+drift.
 """
 from __future__ import annotations
 
@@ -40,34 +46,63 @@ class SimplexSolution:
     dual_gap: float | None = None
 
 
-def solve_standard_form(A, b, c, settings: SimplexSettings | None = None) -> SimplexSolution:
+def solve_standard_form(A, b, c, settings: SimplexSettings | None = None,
+                        start=None) -> SimplexSolution:
+    """Minimize c'x subject to A x = b, x >= 0.
+
+    ``start``, if given, is a feasible point whose support is meant to be a
+    basis.  Each support column (entries above 1e-9) is pivoted into the
+    artificial row where its entry is largest in absolute value, and
+    phase 1 continues from there.  The start is discarded, and the solve
+    runs as without it, when a column finds no such row (none above 1e-7),
+    the right-hand side turns negative, or phase 1 cannot bring the
+    infeasibility to zero.  ``iterations`` counts every pivot of the
+    reported solve, crash pivots included, against ``max_iterations``.
+
+    A tolerance at or above every coefficient of ``A`` can pass no ratio
+    test, so it raises ``RuntimeError`` before any pivot.
+    """
     settings = settings or SimplexSettings()
     A = np.array(A, dtype=float)
     b = np.array(b, dtype=float)
     c = np.ascontiguousarray(c, dtype=float)
     if A.ndim != 2 or b.shape != (A.shape[0],) or c.shape != (A.shape[1],):
         raise ValueError("inconsistent LP dimensions")
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != c.shape:
+            raise ValueError("start has the wrong length")
     rows, cols = A.shape
+    tol = settings.tolerance
+    if 0.0 < max(A.max(initial=0.0), -A.min(initial=0.0)) <= tol:
+        raise RuntimeError(f"no coefficient above tolerance {tol:g}; "
+                           "the tolerance is too large for this LP")
     flip = b < 0
     A[flip] *= -1.0
     b[flip] *= -1.0
 
     # Tableau layout: rows 0..rows-1 hold B^-1 [A | b]; row `rows` is the
     # phase-1 objective, row rows+1 the phase-2 objective.
-    tab = np.zeros((rows + 2, cols + 1), order="F")
-    tab[:rows, :cols] = A
-    tab[:rows, cols] = b
-    tab[rows, :cols] = -A.sum(axis=0)
-    tab[rows, cols] = -b.sum()
-    tab[rows + 1, :cols] = c
-
-    basis = np.full(rows, _ARTIFICIAL, dtype=int)
-    in_basis = np.zeros(cols, dtype=bool)
+    tab = np.empty((rows + 2, cols + 1), order="F")
+    basis = np.empty(rows, dtype=int)
+    in_basis = np.empty(cols, dtype=bool)
     active = np.ones(rows, dtype=bool)
-    tol = settings.tolerance
     iterations = 0
     stall = 0
     stall_limit = 5 * rows
+
+    def reset() -> None:
+        """The all-artificial basis, with no pivot made."""
+        nonlocal iterations, stall
+        tab[:rows, :cols] = A
+        tab[:rows, cols] = b
+        tab[rows, :cols] = -A.sum(axis=0)
+        tab[rows, cols] = -b.sum()
+        tab[rows + 1, :cols] = c
+        tab[rows + 1, cols] = 0.0
+        basis.fill(_ARTIFICIAL)
+        in_basis.fill(False)
+        iterations = stall = 0
 
     def pivot(row: int, col: int) -> None:
         nonlocal iterations
@@ -117,7 +152,7 @@ def solve_standard_form(A, b, c, settings: SimplexSettings | None = None) -> Sim
                 col = int(np.argmin(masked))
             row = ratio_row(col, bland=stall >= stall_limit)
             if row is None:
-                if phase_one:  # only a tolerance above every coefficient gets here
+                if phase_one:  # phase 1 is bounded below, so only a large tolerance gets here
                     raise RuntimeError(f"no pivot row above tolerance {tol:g} in phase 1; "
                                        "the tolerance is too large for this LP")
                 raise RuntimeError("LP is unbounded below")
@@ -130,20 +165,41 @@ def solve_standard_form(A, b, c, settings: SimplexSettings | None = None) -> Sim
             in_basis[col] = True
             pivot(row, col)
 
-    status = run_phase(rows, phase_one=True)
-    if status == "iteration-limit":
-        return SimplexSolution("iteration-limit", iterations)
+    def crash(x) -> bool:
+        """Pivot the support of ``x`` into the basis; False if no feasible basis results."""
+        for col in np.flatnonzero(x > 1e-9):
+            if iterations >= settings.max_iterations:
+                break
+            coefs = np.where(basis == _ARTIFICIAL, np.abs(tab[:rows, col]), 0.0)
+            if coefs.max(initial=0.0) <= 1e-7:
+                return False
+            row = int(np.argmax(coefs))
+            basis[row] = col
+            in_basis[col] = True
+            pivot(row, col)
+        return tab[:rows, cols].min(initial=0.0) >= -tol
+
+    for warm in ((True, False) if start is not None else (False,)):
+        reset()
+        if warm and not crash(start):
+            continue
+        status = run_phase(rows, phase_one=True)
+        if status == "iteration-limit":
+            return SimplexSolution("iteration-limit", iterations)
+        if not warm or -tab[rows, cols] <= 1e-10:
+            break
     infeasibility = -tab[rows, cols]
     if infeasibility > 1e-7:
         return SimplexSolution("infeasible", iterations)
 
-    # Drive leftover artificials out of the basis or retire their rows.
+    # Drive leftover artificials out of the basis or retire their rows.  The
+    # entering column is the admissible one phase 2 would price first.
     for i in range(rows):
         if basis[i] != _ARTIFICIAL:
             continue
         options = np.flatnonzero((np.abs(tab[i, :cols]) > 1e-7) & ~in_basis)
         if options.size:
-            col = int(options[0])
+            col = int(options[np.argmin(tab[rows + 1, options])])
             basis[i] = col
             in_basis[col] = True
             pivot(i, col)

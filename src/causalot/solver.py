@@ -8,7 +8,9 @@ its rows are the marginals alone, and causality holds by substitution.
 The LP view of causal transport follows Backhoff, Beiglboeck, Lin and
 Zalashko, "Causal transport in discrete time and applications" (SIAM J.
 Optim. 2017).  The LP is solved by the dense two-phase simplex in
-:mod:`causalot.simplex`.  :func:`solve_causal_transport` reports an
+:mod:`causalot.simplex`, started at the causal north-west corner
+(:meth:`LpProblem.corner`), a vertex of the reduced LP that the explicit
+form gives at no cost.  :func:`solve_causal_transport` reports an
 optimum only after LP duality certifies it from the reported duals and
 the plan passes the causality check.
 """
@@ -35,7 +37,7 @@ class LpProblem:
     then the unshared plan entries in row-major order.  The rows are the
     n source marginals and the target marginals but the last, which is
     redundant.  ``plan_mass`` and ``variables`` translate between LP
-    vectors and plan masses.
+    vectors and plan masses; ``corner`` is the simplex's starting vertex.
     """
 
     source: DiscreteMeasure
@@ -67,6 +69,40 @@ class LpProblem:
         mass = np.asarray(mass, dtype=float).reshape(self.shared.shape)
         n_q = int(self.shared[-1].sum())
         q = mass[-1, :n_q] / self.source.weights[-1]
+        return np.concatenate([q, mass[~self.shared]])
+
+    def corner(self) -> np.ndarray:
+        """The LP vector of the causal north-west corner, a vertex of the LP.
+
+        Targets are filled in ascending order.  Source atom k is revealed at
+        target j once x_k <= y_j; until then it sends w_k q_j like every
+        atom above y_j, so it arrives with w_k (1 - Q), Q the q mass so far.
+        Each target takes what it can from the revealed atoms in north-west
+        order and the rest from the unrevealed pool through one q_j.
+        """
+        w, v = self.source.weights, self.target.weights
+        n_q = int(self.shared[-1].sum())
+        revealed = np.searchsorted(self.source.support, self.target.support, side="right")
+        pool = np.cumsum(w[::-1])[::-1]  # pool[a]: weight of the atoms from a up
+        mass = np.zeros(self.shared.shape)
+        left = np.zeros_like(w)
+        q = np.zeros(n_q)
+        total_q = 0.0
+        k = seen = 0
+        for j, a in enumerate(revealed):
+            left[seen:a] = w[seen:a] * max(1.0 - total_q, 0.0)
+            seen = a
+            need = v[j]
+            while need > 0.0 and k < a:
+                take = min(left[k], need)
+                mass[k, j] = take
+                left[k] -= take
+                need -= take
+                if left[k] <= 0.0:
+                    k += 1
+            if j < n_q:
+                q[j] = need / pool[a]
+                total_q += q[j]
         return np.concatenate([q, mass[~self.shared]])
 
 
@@ -116,8 +152,9 @@ class SolveResult:
 
 
 def solve(problem: LpProblem, settings: SimplexSettings | None = None) -> SolveResult:
-    """Run the two-phase simplex on a built instance."""
-    sol = solve_standard_form(problem.matrix, problem.rhs, problem.objective, settings)
+    """Run the two-phase simplex on a built instance, started at its causal corner."""
+    sol = solve_standard_form(problem.matrix, problem.rhs, problem.objective, settings,
+                              start=problem.corner())
     if sol.status != "optimal":
         return SolveResult(sol.status, sol.iterations)
     plan = TransportPlan(problem.source, problem.target, problem.plan_mass(sol.x))

@@ -32,6 +32,13 @@ class TestTransportPlan:
         with pytest.raises(ValueError, match="negative"):
             TransportPlan(eta, eta, np.array([[0.6, -0.1], [-0.1, 0.6]]))
 
+    def test_rejects_nan_mass(self):
+        # NaN compares False against the floor and both marginal bounds.
+        eta = DiscreteMeasure([1.0, 2.0], [0.5, 0.5])
+        nu = DiscreteMeasure([0.0, 3.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="nonnegative"):
+            TransportPlan(eta, nu, np.array([[np.nan, 0.5], [0.25, 0.25]]))
+
     def test_clamps_tiny_negative_mass(self):
         eta = DiscreteMeasure([0.0, 1.0], [0.5, 0.5])
         mass = np.array([[0.5, -1e-14], [1e-14, 0.5]])

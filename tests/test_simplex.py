@@ -124,3 +124,69 @@ def test_degenerate_rhs_zeros():
     ref = linprog(c, A_eq=A, b_eq=b, method="highs")
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(ref.fun, abs=1e-9)
+
+
+def test_tolerance_above_every_coefficient_raises_before_pivoting():
+    A = np.array([[1.0, 0.5]])
+    with pytest.raises(RuntimeError, match="tolerance is too large"):
+        solve_standard_form(A, [1.0], [1.0, 1.0],
+                            SimplexSettings(max_iterations=0, tolerance=1.0))
+
+
+class TestStart:
+    # min x0 + 2 x1 + 3 x2  s.t.  x0 + x1 = 1,  x1 + x2 = 1: optimum (0, 1, 0), value 2.
+    A = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+    b = np.array([1.0, 1.0])
+    c = np.array([1.0, 2.0, 3.0])
+
+    def test_vertex_start_counts_crash_pivots(self):
+        sol = solve_standard_form(self.A, self.b, self.c, start=[1.0, 0.0, 1.0])
+        cold = solve_standard_form(self.A, self.b, self.c)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(2.0)
+        assert_allclose(sol.x, cold.x)
+        # Two crash pivots, then one phase-2 pivot to the optimum.
+        assert sol.iterations == 3
+
+    def test_optimal_vertex_start_needs_no_other_pivot(self):
+        sol = solve_standard_form(self.A, self.b, self.c, start=[0.0, 1.0, 0.0])
+        assert sol.objective == pytest.approx(2.0)
+        # One crash pivot; the artificial left in the other row is driven out.
+        assert sol.iterations == 2
+
+    def test_non_basic_start_falls_back_to_cold(self):
+        # Three support columns for two rows: the third finds no artificial row.
+        sol = solve_standard_form(self.A, self.b, self.c, start=[0.5, 0.5, 0.5])
+        cold = solve_standard_form(self.A, self.b, self.c)
+        assert sol.iterations == cold.iterations
+        assert np.array_equal(sol.x, cold.x)
+
+    def test_negative_basic_values_fall_back_to_cold(self):
+        # The only solution is x = (2, -1), so the crash basis {x0, x1}
+        # carries a negative value.
+        A = np.array([[1.0, 1.0], [1.0, -1.0]])
+        b = np.array([1.0, 3.0])
+        sol = solve_standard_form(A, b, [1.0, 1.0], start=[1.0, 1.0])
+        assert sol.status == "infeasible"
+        assert sol.iterations == solve_standard_form(A, b, [1.0, 1.0]).iterations
+
+    def test_phase_one_leftover_falls_back_to_cold(self):
+        # x1 = 3 leaves x0 + 2 x2 = -2.  The crash basis {x2} has a nonnegative
+        # right-hand side, but phase 1 from it cannot reach zero infeasibility;
+        # from there it takes two pivots, a cold start one.
+        A = np.array([[1.0, 1.0, 2.0], [0.0, 1.0, 0.0]])
+        b = np.array([1.0, 3.0])
+        c = np.ones(3)
+        sol = solve_standard_form(A, b, c, start=[0.0, 0.0, 1.0])
+        assert sol.status == "infeasible"
+        assert sol.iterations == solve_standard_form(A, b, c).iterations == 1
+
+    def test_crash_pivots_count_against_the_limit(self):
+        sol = solve_standard_form(self.A, self.b, self.c, SimplexSettings(max_iterations=1),
+                                  start=[1.0, 0.0, 1.0])
+        assert sol.status == "iteration-limit"
+        assert sol.iterations == 1
+
+    def test_start_of_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="start"):
+            solve_standard_form(self.A, self.b, self.c, start=[1.0, 0.0])

@@ -9,8 +9,8 @@ import causalot.solver as solver_module
 from causalot.causality import check_cyclical_monotonicity, check_plan_causal
 from causalot.measures import DiscreteMeasure, Exponential, Gamma, discretize
 from causalot.plans import evaluate_cost
-from causalot.plans import deterministic_plan, product_plan
-from causalot.simplex import SimplexSettings
+from causalot.plans import TransportPlan, deterministic_plan, product_plan
+from causalot.simplex import SimplexSettings, solve_standard_form
 from causalot.solver import (build_causal_lp, certify, classic_ot_1d,
                              instance_from_dict, solve, solve_causal_transport,
                              verify_optimality)
@@ -156,6 +156,58 @@ class TestReducedLpProperties:
             classic, _ = classic_ot_1d(eta, nu)
             assert result.value >= classic - 1e-9
             assert result.value <= product_plan(eta, nu).cost("abs") + 1e-9
+
+
+class TestCorner:
+    @settings(max_examples=150, deadline=None)
+    @given(instances())
+    def test_corner_is_a_causal_vertex(self, instance):
+        eta, nu, cost = instance
+        problem = build_causal_lp(eta, nu, cost)
+        x = problem.corner()
+        assert x.min() >= 0.0
+        assert np.abs(problem.matrix @ x - problem.rhs).max() <= 1e-12
+        plan = TransportPlan(eta, nu, problem.plan_mass(x))
+        assert check_plan_causal(plan, tol=1e-12).causal
+        support = problem.matrix[:, x > 1e-9]
+        assert np.linalg.matrix_rank(support) == support.shape[1]
+        warm = solve(problem)
+        cold = solve_standard_form(problem.matrix, problem.rhs, problem.objective)
+        assert warm.value == pytest.approx(cold.objective, abs=1e-9, rel=0)
+        assert verify_optimality(problem, warm).ok
+        assert certify(problem, problem.plan_mass(cold.x).ravel(), cold.duals).ok
+
+    def test_product_plan_start_falls_back_to_cold(self):
+        # The product plan is feasible but not basic: five support columns, four rows.
+        eta, nu = uniform_on([0.0, 1.0, 2.0]), DiscreteMeasure([0.5, 10.0], [0.5, 0.5])
+        problem = build_causal_lp(eta, nu, "abs")
+        start = problem.variables(product_plan(eta, nu).mass)
+        assert np.count_nonzero(start) > problem.n_rows
+        lp = (problem.matrix, problem.rhs, problem.objective)
+        sol = solve_standard_form(*lp, start=start)
+        cold = solve_standard_form(*lp)
+        assert sol.objective == cold.objective
+        assert sol.iterations == cold.iterations
+        assert sol.objective == pytest.approx(solve(problem).value, abs=1e-12)
+
+    @pytest.mark.parametrize("atoms", [70, 80])
+    def test_gamma_under_1000_pivots(self, atoms):
+        # From the all-artificial basis these took 1,133 and 1,425 pivots.
+        problem = build_causal_lp(discretize(Gamma(2, 0.01), atoms),
+                                  discretize(Gamma(3, 0.01), atoms), "abs")
+        result = solve(problem)
+        assert result.status == "optimal"
+        assert result.iterations < 1000
+        assert verify_optimality(problem, result).ok
+
+    def test_gamma_60_one_pivot_per_row(self):
+        # The corner is optimal here: each row takes one crash or drive-out
+        # pivot, and phase 2 none.
+        problem = build_causal_lp(discretize(Gamma(2, 0.01), 60),
+                                  discretize(Gamma(3, 0.01), 60), "abs")
+        result = solve(problem)
+        assert result.iterations == problem.n_rows
+        assert verify_optimality(problem, result).ok
 
 
 class TestCertifiedPipeline:
