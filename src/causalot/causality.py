@@ -45,26 +45,37 @@ class CausalityReport:
         }
 
 
+def anchor_rows(source: DiscreteMeasure, target: DiscreteMeasure) -> np.ndarray:
+    """Index of the first source atom strictly above each target atom, n if none.
+
+    A tie x_k == y_j does not count as above: that source atom has seen
+    y_j and may condition on it.  Source atoms from the anchor up have not.
+    """
+    return np.searchsorted(source.support, target.support, side="right")
+
+
 def check_plan_causal(plan: TransportPlan, tol: float = DEFAULT_PLAN_TOL) -> CausalityReport:
     """Largest disagreement of conditional CDFs against each column's anchor row.
 
-    The anchor of target atom j is the first source atom strictly above it;
-    every source atom from the anchor up must share its conditional CDF at
-    j.  Columns with fewer than two such rows carry no constraint.
+    The anchor of target atom j is the first source atom strictly above it
+    (:func:`anchor_rows`); every source atom from the anchor up must share
+    its conditional CDF at j.  Columns with fewer than two such rows carry
+    no constraint.
     """
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     cdf = plan.conditional_cdf_matrix()
-    anchors = np.searchsorted(plan.source.support, plan.target.support, side="right")
+    anchors = anchor_rows(plan.source, plan.target)
     cols = np.flatnonzero(plan.n - anchors >= 2)
     if cols.size == 0:
         return CausalityReport(causal=True, max_deviation=0.0, tolerance=tol)
     # Suffix extrema over rows give each column's worst member in one sweep.
-    suffix_max = np.maximum.accumulate(cdf[::-1], axis=0)[::-1]
-    suffix_min = np.minimum.accumulate(cdf[::-1], axis=0)[::-1]
+    # Each full-size suffix array is read at the anchors and dropped at once.
     rows = anchors[cols]
     at_anchor = cdf[rows, cols]
-    devs = np.maximum(suffix_max[rows, cols] - at_anchor, at_anchor - suffix_min[rows, cols])
+    highest = np.maximum.accumulate(cdf[::-1], axis=0)[::-1][rows, cols]
+    lowest = np.minimum.accumulate(cdf[::-1], axis=0)[::-1][rows, cols]
+    devs = np.maximum(highest - at_anchor, at_anchor - lowest)
     max_dev = float(devs.max(initial=0.0))
     offending = devs > tol
     violations = []

@@ -274,12 +274,6 @@ def _example_gamma_poisson(args, out_dir: Path) -> int:
 # ---------- parser wiring ----------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="random seed")
-    sub.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
-    sub.add_argument("--out", type=str, default=None, help="output file or directory")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="causalot",
                      description="causal optimal transport on the real line")
@@ -291,14 +285,16 @@ def build_parser() -> _Parser:
     p.add_argument("--scheme", choices=["quantile", "uniform"], default="quantile")
     p.add_argument("--lo", type=float, default=None, help="window start (uniform)")
     p.add_argument("--hi", type=float, default=None, help="window end (uniform)")
-    _add_common(p)
+    p.add_argument("--out", type=str, default=None, help="output file")
     p.set_defaults(fn=_cmd_discretize)
 
     p = subs.add_parser("check", help="causality check for a plan or a map")
     p.add_argument("--plan", type=str, default=None, help="plan JSON file")
     p.add_argument("--measure", type=str, default=None, help="measure JSON file")
     p.add_argument("--map", type=str, default=None, help="map JSON file")
-    _add_common(p)
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="largest accepted deviation (plan) or offending mass (map)")
+    p.add_argument("--out", type=str, default=None, help="output file")
     p.set_defaults(fn=_cmd_check)
 
     p = subs.add_parser("solve", help="solve a causal transport instance")
@@ -307,7 +303,8 @@ def build_parser() -> _Parser:
     p.add_argument("--instance", type=str, default=None, help="combined instance file")
     p.add_argument("--cost", choices=["abs", "square"], default="abs")
     p.add_argument("--maxiter", type=int, default=50_000)
-    _add_common(p)
+    p.add_argument("--tol", type=float, default=1e-9, help="simplex pivot tolerance")
+    p.add_argument("--out", type=str, default=None, help="output file")
     p.set_defaults(fn=_cmd_solve)
 
     p = subs.add_parser("couple", help="simulate a coupling and test its axioms")
@@ -320,7 +317,8 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=10_000, help="number of draws")
     p.add_argument("--confidence", type=float, default=0.999)
     p.add_argument("--report", type=str, default=None, help="axiom report path")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument("--out", type=str, default=None, help="sample CSV file")
     p.set_defaults(fn=_cmd_couple)
 
     p = subs.add_parser("example", help="ready-made scenarios")
@@ -341,7 +339,9 @@ def build_parser() -> _Parser:
                    help="gamma-poisson: extra target shape")
     p.add_argument("--rate", type=float, default=0.01, help="gamma-poisson: rate")
     p.add_argument("--maxiter", type=int, default=50_000)
-    _add_common(p)
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="mixture: largest accepted causality deviation")
+    p.add_argument("--out", type=str, default=None, help="output directory")
     p.set_defaults(fn=_cmd_example)
     return parser
 

@@ -32,8 +32,7 @@ def merge_atoms(support, weights):
     if support.shape != weights.shape or support.ndim != 1:
         raise ValueError("support and weights must be 1-d arrays of equal length")
     uniq, inverse = np.unique(support, return_inverse=True)
-    merged = np.zeros(uniq.size)
-    np.add.at(merged, inverse, weights)
+    merged = np.bincount(inverse, weights)
     keep = merged > 0.0
     return uniq[keep], merged[keep]
 

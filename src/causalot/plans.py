@@ -4,6 +4,9 @@ A plan is an n-by-m nonnegative matrix whose row sums are the source
 weights and whose column sums are the target weights.  Disintegrating the
 rows gives a Markov kernel; the conditional CDFs of that kernel are what
 the causality checks look at.
+
+The deterministic, shifted-sum and mixture constructors build their plans
+by one scatter of (source row, target coordinate, mass) cells.
 """
 from __future__ import annotations
 
@@ -12,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .measures import (SUPPORT_DECIMALS, DiscreteMeasure, Family, discretize,
-                       merge_atoms)
+from .measures import SUPPORT_DECIMALS, DiscreteMeasure, Family, discretize
 
 _MARGINAL_TOL = 1e-9
 _MASS_FLOOR = -1e-12
@@ -166,13 +168,7 @@ def deterministic_plan(source: DiscreteMeasure, values) -> TransportPlan:
     values = np.asarray(values, dtype=float)
     if values.shape != (source.n,):
         raise ValueError("need one map value per source atom")
-    rounded = _round_support(values)
-    support, weights = merge_atoms(rounded, source.weights)
-    target = DiscreteMeasure(support, weights)
-    cols = np.searchsorted(support, rounded)
-    mass = np.zeros((source.n, support.size))
-    mass[np.arange(source.n), cols] = source.weights
-    return TransportPlan(source, target, mass)
+    return _plan_from_cells(source, np.arange(source.n), values, source.weights)
 
 
 def mix_plans(components: list[tuple[float, TransportPlan]]) -> TransportPlan:
@@ -190,19 +186,19 @@ def mix_plans(components: list[tuple[float, TransportPlan]]) -> TransportPlan:
         raise ValueError(f"mixture weights sum to {weights.sum()!r}, not 1")
     base = components[0][1].source
     base_support = _round_support(base.support)
-    for _, plan in components[1:]:
+    cells = []
+    for w, plan in components:
         if not np.array_equal(_round_support(plan.source.support), base_support):
             raise ValueError("components must share the source support")
         if np.abs(plan.source.weights - base.weights).max() > 1e-12:
             raise ValueError("components must share the source weights")
-    union = np.unique(np.concatenate(
-        [_round_support(p.target.support) for _, p in components]))
-    mass = np.zeros((base.n, union.size))
-    for w, plan in components:
-        cols = np.searchsorted(union, _round_support(plan.target.support))
-        np.add.at(mass, (slice(None), cols), w * plan.mass)
-    target = DiscreteMeasure(union, mass.sum(axis=0))
-    return TransportPlan(base, target, mass)
+        # Row 0 keeps its zero cells: every target atom joins the union, and
+        # one that no component gives mass fails as a zero-weight atom.
+        keep = plan.mass > 0.0
+        keep[0] = True
+        rows, cols = np.nonzero(keep)
+        cells.append((rows, plan.target.support[cols], w * plan.mass[rows, cols]))
+    return _plan_from_cells(base, *(np.concatenate(c) for c in zip(*cells)))
 
 
 def independent_sum_plan(source_spec: Family, increment_spec: Family,
@@ -216,15 +212,20 @@ def independent_sum_plan(source_spec: Family, increment_spec: Family,
         raise ValueError("the increment law must live on [0, inf)")
     src = discretize(source_spec, n)
     inc = discretize(increment_spec, m)
-    sums = _round_support(src.support[:, None] + inc.support[None, :])
-    union, inverse = np.unique(sums, return_inverse=True)
-    inverse = inverse.reshape(sums.shape)
-    mass = np.zeros((src.n, union.size))
-    contrib = src.weights[:, None] * inc.weights[None, :]
-    rows = np.repeat(np.arange(src.n), inc.n)
-    np.add.at(mass, (rows, inverse.ravel()), contrib.ravel())
-    target = DiscreteMeasure(union, mass.sum(axis=0))
-    return TransportPlan(src, target, mass)
+    return _plan_from_cells(src, np.repeat(np.arange(src.n), inc.n),
+                            (src.support[:, None] + inc.support[None, :]).ravel(),
+                            (src.weights[:, None] * inc.weights[None, :]).ravel())
+
+
+def _plan_from_cells(source: DiscreteMeasure, rows, coords, mass) -> TransportPlan:
+    """Plan with mass[t] at (rows[t], coords[t]), equal rounded coordinates merged.
+
+    Each cell sums its masses in input order; the target takes the column sums.
+    """
+    union, cols = np.unique(_round_support(coords), return_inverse=True)
+    mass = np.bincount(rows * union.size + cols, weights=mass,
+                       minlength=source.n * union.size).reshape(source.n, union.size)
+    return TransportPlan(source, DiscreteMeasure(union, mass.sum(axis=0)), mass)
 
 
 def plan_from_samples(x, y, *, x_atoms=None, y_atoms=None,
@@ -251,9 +252,8 @@ def plan_from_samples(x, y, *, x_atoms=None, y_atoms=None,
         yi, ys = _cell_bin(y, cells[1])
     else:
         raise ValueError("give atom grids or a cell count")
-    counts = np.zeros((xs.size, ys.size))
-    np.add.at(counts, (xi, yi), 1.0)
-    counts /= x.size
+    counts = np.bincount(xi * ys.size + yi, minlength=xs.size * ys.size) / x.size
+    counts = counts.reshape(xs.size, ys.size)
     keep_rows = counts.sum(axis=1) > 0
     keep_cols = counts.sum(axis=0) > 0
     counts = counts[np.ix_(keep_rows, keep_cols)]

@@ -3,12 +3,15 @@
 Solves  min c'x  subject to  A x = b, x >= 0  on a full tableau.  Phase 1
 starts from an all-artificial basis but never materializes the artificial
 columns; both objective rows ride along in the tableau so phase 2 can
-continue in place.  A caller that knows a feasible vertex passes it as
-``start``: crash pivots move its support into the basis, one per column,
-and phase 1 begins there; a start that yields no feasible basis is
-dropped.  Artificials left in the basis after phase 1 are driven out by
-the admissible column with the most negative phase-2 reduced cost, the
-one phase 2 would price first.  Pricing is Dantzig's most-negative rule
+continue in place.  Every row is first scaled to a largest coefficient
+of 1, so the absolute pivot thresholds also hold on a row whose
+coefficients are all tiny, such as the marginal of a light atom.  A
+caller that knows a feasible vertex passes it as ``start``: crash pivots
+move its support into the basis, one per column, and phase 1 begins
+there; a start that yields no feasible basis is dropped.  Artificials
+left in the basis after phase 1 are driven out by the admissible column
+with the most negative phase-2 reduced cost, the one phase 2 would
+price first.  Pricing is Dantzig's most-negative rule
 with a switch to Bland's rule after a run of degenerate pivots, which
 guarantees termination.  The reported solution is recomputed from the
 final basis by a fresh factorization, so residuals do not inherit pivot
@@ -51,7 +54,7 @@ def solve_standard_form(A, b, c, settings: SimplexSettings | None = None,
     """Minimize c'x subject to A x = b, x >= 0.
 
     ``start``, if given, is a feasible point whose support is meant to be a
-    basis.  Each support column (entries above 1e-9) is pivoted into the
+    basis.  Each support column (every positive entry) is pivoted into the
     artificial row where its entry is largest in absolute value, and
     phase 1 continues from there.  The start is discarded, and the solve
     runs as without it, when a column finds no such row (none above 1e-7),
@@ -80,6 +83,12 @@ def solve_standard_form(A, b, c, settings: SimplexSettings | None = None,
     flip = b < 0
     A[flip] *= -1.0
     b[flip] *= -1.0
+    # Row scaling leaves x unchanged; the duals are divided by the scale
+    # on the way out.
+    scale = np.abs(A).max(axis=1, initial=0.0)
+    scale[scale == 0.0] = 1.0
+    A /= scale[:, None]
+    b /= scale
 
     # Tableau layout: rows 0..rows-1 hold B^-1 [A | b]; row `rows` is the
     # phase-1 objective, row rows+1 the phase-2 objective.
@@ -167,7 +176,10 @@ def solve_standard_form(A, b, c, settings: SimplexSettings | None = None,
 
     def crash(x) -> bool:
         """Pivot the support of ``x`` into the basis; False if no feasible basis results."""
-        for col in np.flatnonzero(x > 1e-9):
+        # However small, an entry left out would keep its row's artificial
+        # at that level, under the phase-1 stop, for the drive-out to divide
+        # by a pivot that may be tiny too.
+        for col in np.flatnonzero(x > 0.0):
             if iterations >= settings.max_iterations:
                 break
             coefs = np.where(basis == _ARTIFICIAL, np.abs(tab[:rows, col]), 0.0)
@@ -230,11 +242,11 @@ def solve_standard_form(A, b, c, settings: SimplexSettings | None = None,
             x[basis[r]] = tab[r, cols]
     np.maximum(x, 0.0, out=x)
     objective = float(c @ x)
-    residual = float(np.abs(A @ x - b).max())
+    residual = float(np.abs((A @ x - b) * scale).max())
     if duals is not None:
         reduced = c - A.T @ duals
         gap = abs(objective - float(b @ duals))
-        duals = np.where(flip, -duals, duals)
+        duals = np.where(flip, -duals, duals) / scale
     else:
         reduced, gap = None, None
     return SimplexSolution("optimal", iterations, x, objective, duals, reduced,

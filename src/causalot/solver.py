@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # Imported though unused: perfbench/tracing.py rebinds it here, as it does solve_standard_form.
-from .causality import check_cyclical_monotonicity, check_plan_causal
+from .causality import anchor_rows, check_cyclical_monotonicity, check_plan_causal
 from .measures import DiscreteMeasure
 from .plans import TransportPlan, evaluate_cost
 from .simplex import SimplexSettings, solve_standard_form
@@ -82,7 +82,7 @@ class LpProblem:
         """
         w, v = self.source.weights, self.target.weights
         n_q = int(self.shared[-1].sum())
-        revealed = np.searchsorted(self.source.support, self.target.support, side="right")
+        revealed = anchor_rows(self.source, self.target)
         pool = np.cumsum(w[::-1])[::-1]  # pool[a]: weight of the atoms from a up
         mass = np.zeros(self.shared.shape)
         left = np.zeros_like(w)
@@ -110,8 +110,7 @@ def build_causal_lp(source: DiscreteMeasure, target: DiscreteMeasure, costfn) ->
     n, m = source.n, target.n
     w = source.weights
     cost = evaluate_cost(costfn, source.support, target.support)
-    # Ties x_k == y_j stay unshared, as in check_plan_causal.
-    shared = source.support[:, None] > target.support[None, :]
+    shared = np.arange(n)[:, None] >= anchor_rows(source, target)[None, :]
     n_q = int(shared[-1].sum())
     free_k, free_j = np.nonzero(~shared)
     free = n_q + np.arange(free_k.size)
@@ -164,6 +163,10 @@ def solve(problem: LpProblem, settings: SimplexSettings | None = None) -> SolveR
                        primal_residual=sol.primal_residual, dual_gap=sol.dual_gap)
 
 
+_RESIDUAL_TOL = 1e-9
+_REDUCED_COST_TOL = 1e-8
+
+
 @dataclass
 class CertificateReport:
     ok: bool
@@ -173,24 +176,24 @@ class CertificateReport:
         return self.ok
 
 
-def certify(problem: LpProblem, x, duals, *, residual_tol: float = 1e-9,
-            reduced_cost_tol: float = 1e-8) -> CertificateReport:
+def certify(problem: LpProblem, x, duals) -> CertificateReport:
     """Duality certificate for a flattened plan mass and a dual vector.
 
     The mass is mapped to LP variables with ``problem.variables``.  A plan
     that the map does not reproduce is not causal, and the gap counts as
-    primal residual.
+    primal residual.  Residuals and negative mass may reach 1e-9, reduced
+    costs -1e-8.
     """
     mass = np.asarray(x, dtype=float).ravel()
     failures = []
     if mass.size != problem.shared.size:
         return CertificateReport(False, ["primal vector has the wrong length"])
-    if mass.min() < -residual_tol:
+    if mass.min() < -_RESIDUAL_TOL:
         failures.append(f"negative mass {mass.min():g}")
     x = problem.variables(mass)
     residual = max(float(np.abs(problem.matrix @ x - problem.rhs).max()),
                    float(np.abs(problem.plan_mass(x).ravel() - mass).max()))
-    if residual > residual_tol:
+    if residual > _RESIDUAL_TOL:
         failures.append(f"primal residual {residual:g}")
     value = float(problem.objective @ x)
     if duals is None:
@@ -198,7 +201,7 @@ def certify(problem: LpProblem, x, duals, *, residual_tol: float = 1e-9,
     else:
         duals = np.asarray(duals, dtype=float)
         reduced = problem.objective - problem.matrix.T @ duals
-        if reduced.min() < -reduced_cost_tol:
+        if reduced.min() < -_REDUCED_COST_TOL:
             failures.append(f"reduced cost {reduced.min():g}")
         slackness = float(np.abs(x * reduced).max())
         if slackness > 1e-7 * max(1.0, abs(value)):

@@ -164,6 +164,14 @@ class TestSolve:
         assert err.startswith("error: solver output fails its duality certificate")
         assert err.count("\n") == 1
 
+    def test_light_atom_above_every_target(self, tmp_path):
+        eta = write(tmp_path / "eta.json", {"support": [0.0, 1.0, 5.0],
+                                            "weights": [(1 - 1e-8) / 2, (1 - 1e-8) / 2, 1e-8]})
+        nu = write(tmp_path / "nu.json", {"support": [0.5, 2.0], "weights": [0.5, 0.5]})
+        out = tmp_path / "r.json"
+        assert main(["solve", eta, nu, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["status"] == "optimal"
+
     def test_negative_tolerance_rejected(self, tmp_path, uniform3, capsys):
         nu = write(tmp_path / "nu.json",
                    {"support": [0.5, 10.0], "weights": [0.5, 0.5]})
@@ -273,6 +281,20 @@ class TestParsing:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "causalot" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["discretize", "spec.json", "--seed", "1"],
+        ["discretize", "spec.json", "--tol", "0.1"],
+        ["check", "--seed", "1"],
+        ["solve", "--seed", "1"],
+        ["couple", "--tol", "0.1"],
+        ["example", "mixture", "--seed", "1"],
+    ])
+    def test_flags_only_where_read(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: unrecognized arguments")
+        assert argv[-2] in err
 
 
 def test_console_script_runs():

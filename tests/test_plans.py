@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
-from causalot.measures import Dirac, DiscreteMeasure, Exponential, Uniform
+from causalot.measures import (SUPPORT_DECIMALS, Dirac, DiscreteMeasure, Exponential,
+                               Uniform)
 from causalot.plans import (TransportPlan, brownian_passage_conditional_cdf,
                             conditional_cdf_grid, deterministic_plan,
                             evaluate_cost, independent_sum_plan, mix_plans,
@@ -148,6 +151,92 @@ class TestConstructors:
     def test_independent_sum_rejects_signed_increment(self):
         with pytest.raises(ValueError, match="increment"):
             independent_sum_plan(Exponential(1.0), Uniform(-1.0, 1.0), 5, 5)
+
+
+# 1.0 and 1.0 + 1e-14 are distinct atoms that round to one at 12 decimals.
+COORDS = [0.0, 0.5, 1.0, 1.0 + 1e-14, 2.0, 3.5]
+
+
+@st.composite
+def sources(draw):
+    n = draw(st.integers(1, 4))
+    xs = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n, unique=True))
+    ws = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    return DiscreteMeasure(np.sort(xs) * 0.5, np.asarray(ws) / sum(ws))
+
+
+@st.composite
+def component_plans(draw, source):
+    """A deterministic plan (ties allowed) or a product plan onto atoms from COORDS."""
+    if draw(st.booleans()):
+        values = draw(st.lists(st.sampled_from(COORDS), min_size=source.n,
+                               max_size=source.n))
+        return deterministic_plan(source, values)
+    ys = draw(st.lists(st.sampled_from(COORDS), min_size=1, max_size=4, unique=True))
+    vs = draw(st.lists(st.integers(1, 9), min_size=len(ys), max_size=len(ys)))
+    return product_plan(source, DiscreteMeasure(np.sort(ys), np.asarray(vs) / sum(vs)))
+
+
+@st.composite
+def mixtures(draw):
+    source = draw(sources())
+    plans = draw(st.lists(component_plans(source), min_size=1, max_size=3))
+    ks = draw(st.lists(st.integers(1, 4), min_size=len(plans), max_size=len(plans)))
+    return [(k / sum(ks), plan) for k, plan in zip(ks, plans)]
+
+
+def accumulate(n, cells):
+    """Dense mass and target support from (weight, row, coordinate, mass) cells.
+
+    A dict keyed by (row, rounded coordinate) adds each cell's weighted
+    mass in the order given.
+    """
+    sums = {}
+    for w, i, y, mass in cells:
+        key = (i, float(np.round(y, SUPPORT_DECIMALS)))
+        sums[key] = sums.get(key, 0.0) + w * mass
+    support = sorted({y for _, y in sums})
+    dense = np.zeros((n, len(support)))
+    for (i, y), mass in sums.items():
+        dense[i, support.index(y)] = mass
+    return dense, support
+
+
+class TestCellScatter:
+    @settings(max_examples=200, deadline=None)
+    @given(sources(), st.data())
+    def test_deterministic_plan_matches_dict(self, source, data):
+        values = data.draw(st.lists(st.sampled_from(COORDS), min_size=source.n,
+                                    max_size=source.n))
+        plan = deterministic_plan(source, values)
+        mass, support = accumulate(source.n, [(1.0, i, values[i], source.weights[i])
+                                              for i in range(source.n)])
+        assert_array_equal(plan.target.support, support)
+        assert_array_equal(plan.mass, mass)
+        assert_allclose(plan.target.weights, mass.sum(axis=0), rtol=1e-15, atol=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixtures())
+    def test_mix_plans_matches_dict(self, components):
+        mixed = mix_plans(components)
+        n = components[0][1].n
+        cells = [(w, i, plan.target.support[j], plan.mass[i, j])
+                 for w, plan in components for i in range(n) for j in range(plan.m)
+                 if plan.mass[i, j] > 0]
+        mass, support = accumulate(n, cells)
+        assert_array_equal(mixed.target.support, support)
+        assert_array_equal(mixed.mass, mass)
+        assert_allclose(mixed.target.weights, mass.sum(axis=0), rtol=1e-15, atol=0)
+
+    def test_mix_plans_rejects_atom_without_mass(self):
+        eta = DiscreteMeasure([0.0], [1.0])
+        # Column 2 is empty, which its 1e-12 weight lets the plan accept.
+        starved = TransportPlan(eta, DiscreteMeasure([1.0, 2.0], [1 - 1e-12, 1e-12]),
+                                [[1 - 1e-12, 0.0]])
+        with pytest.raises(ValueError, match="strictly positive"):
+            mix_plans([(1.0, starved)])
+        fed = mix_plans([(0.5, starved), (0.5, product_plan(eta, DiscreteMeasure([2.0], [1.0])))])
+        assert_array_equal(fed.target.support, [1.0, 2.0])
 
 
 class TestPlanFromSamples:

@@ -32,23 +32,29 @@ def random_instance(rng, max_atoms=8):
 def anchor_row_value(source, target, cost) -> float:
     """Optimal value of the causal LP on all plan entries, with anchor rows.
 
-    One row per (target atom, source atom above it) equates that source
-    atom's conditional CDF with its group's anchor, solved by HiGHS.
+    The variables are the kernel entries p[k, l] = g[k, l] / w_k, so one
+    row per (target atom, source atom above it) equates that source atom's
+    conditional CDF with its group's anchor with unit coefficients, and a
+    tiny source weight shrinks no causality row.  The last target marginal
+    follows from the others and is left out.  Solved by HiGHS at its
+    tightest feasibility tolerances.
     """
     n, m = source.n, target.n
     w = source.weights
-    rows = [np.kron(np.eye(n), np.ones(m)), np.kron(np.ones(n), np.eye(m))]
+    rows = [np.kron(np.eye(n), np.ones(m)), np.kron(w, np.eye(m))[:-1]]
     anchors = np.searchsorted(source.support, target.support, side="right")
     for j, a in enumerate(anchors):
         for k in range(a + 1, n):
             row = np.zeros((n, m))
-            row[k, :j + 1] = w[a]
-            row[a, :j + 1] = -w[k]
+            row[k, :j + 1] = 1.0
+            row[a, :j + 1] = -1.0
             rows.append(row.reshape(1, -1))
     A = np.vstack(rows)
-    b = np.concatenate([w, target.weights, np.zeros(A.shape[0] - n - m)])
-    ref = linprog(evaluate_cost(cost, source.support, target.support).ravel(),
-                  A_eq=A, b_eq=b, method="highs")
+    b = np.concatenate([np.ones(n), target.weights[:-1], np.zeros(A.shape[0] - n - m + 1)])
+    c = w[:, None] * evaluate_cost(cost, source.support, target.support)
+    ref = linprog(c.ravel(), A_eq=A, b_eq=b, method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
     assert ref.status == 0
     return ref.fun
 
@@ -156,6 +162,57 @@ class TestReducedLpProperties:
             classic, _ = classic_ot_1d(eta, nu)
             assert result.value >= classic - 1e-9
             assert result.value <= product_plan(eta, nu).cost("abs") + 1e-9
+
+
+@st.composite
+def tiny_weight_instances(draw):
+    """Pairs from ``instances()`` in which some atoms weigh 1e-8 to 1e-6 before normalizing."""
+    eta, nu, cost = draw(instances())
+
+    def shrink(measure):
+        tiny = draw(st.lists(st.booleans(), min_size=measure.n, max_size=measure.n))
+        eps = draw(st.sampled_from([1e-6, 1e-7, 1e-8]))
+        weights = np.where(tiny, eps, measure.weights)
+        return DiscreteMeasure(measure.support, weights / weights.sum())
+
+    return shrink(eta), shrink(nu), cost
+
+
+class TestTinyWeights:
+    def test_atom_above_every_target(self):
+        # The atom at 5 shares every column, so its LP row holds only its
+        # weight; unscaled, that row fell below the pivot thresholds.
+        eta = DiscreteMeasure([0.0, 1.0, 5.0], [(1 - 1e-8) / 2, (1 - 1e-8) / 2, 1e-8])
+        nu = DiscreteMeasure([0.5, 2.0], [0.5, 0.5])
+        result = solve_causal_transport(eta, nu, "abs")
+        assert result.status == "optimal"
+        assert verify_optimality(build_causal_lp(eta, nu, "abs"), result).ok
+        assert result.value == pytest.approx(anchor_row_value(eta, nu, "abs"),
+                                             abs=1e-9, rel=0)
+
+    def test_tiny_corner_entry_is_crashed(self):
+        # The corner sends 1.8e-13 through one free cell.  Left out of the
+        # crash, that cell kept an artificial at this level past phase 1,
+        # and the drive-out's pivot on a tiny entry pushed other rows negative.
+        def normed(support, weights):
+            return DiscreteMeasure(support, np.asarray(weights) / sum(weights))
+        eta = normed([1.0, 3.0, 3.5, 4.0], [1e-7, 7 / 16, 1e-7, 9 / 16])
+        nu = normed([0.0, 2.0, 3.0, 3.5], [1e-6, 3 / 4, 1 / 4, 1e-6])
+        cost = np.array([[4.5, 4.25, 3.75, 3.75], [3.5, 2.5, 0.5, 4.0],
+                         [3.0, 1.75, 1.0, 4.25], [4.75, 4.25, 0.25, 3.5]])
+        result = solve_causal_transport(eta, nu, cost)
+        assert result.status == "optimal"
+        assert result.value == pytest.approx(anchor_row_value(eta, nu, cost),
+                                             abs=1e-9, rel=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tiny_weight_instances())
+    def test_matches_anchor_row_lp(self, instance):
+        eta, nu, cost = instance
+        result = solve_causal_transport(eta, nu, cost)
+        assert result.status == "optimal"
+        assert result.value == pytest.approx(anchor_row_value(eta, nu, cost),
+                                             abs=1e-8, rel=0)
 
 
 class TestCorner:
