@@ -9,10 +9,9 @@ from .coupling import (AxiomReport, CouplingSample, CouplingSpec, TAU_EQUAL_TO_X
 from .measures import (Dirac, DiscreteMeasure, Exponential, Family, Gamma,
                        Gaussian, LevyFirstPassage, Uniform, discretize,
                        family_from_dict, family_to_dict, merge_atoms, sample)
-from .plans import (COST_FUNCTIONS, Kernel, TransportPlan, brownian_passage_conditional_cdf,
+from .plans import (COST_FUNCTIONS, TransportPlan, brownian_passage_conditional_cdf,
                     conditional_cdf_grid, deterministic_plan, evaluate_cost,
-                    independent_sum_plan, mix_plans, plan_from_samples,
-                    product_plan)
+                    independent_sum_plan, mix_plans, product_plan)
 from .simplex import SimplexSettings
 from .solver import (CertificateReport, LpProblem, SolveResult,
                      build_causal_lp, certify, classic_ot_1d, instance_from_dict,
@@ -21,7 +20,7 @@ from .solver import (CertificateReport, LpProblem, SolveResult,
 __all__ = [
     "AxiomReport", "CausalityReport", "CertificateReport", "COST_FUNCTIONS",
     "CouplingSample", "CouplingSpec", "Dirac",
-    "DiscreteMeasure", "Exponential", "Family", "Gamma", "Gaussian", "Kernel",
+    "DiscreteMeasure", "Exponential", "Family", "Gamma", "Gaussian",
     "LevyFirstPassage", "LpProblem", "MapCausalityReport", "MonotonicityReport",
     "SimplexSettings", "SolveResult", "TAU_EQUAL_TO_X", "TAU_NEVER",
     "TransportPlan", "Uniform", "brownian_passage_conditional_cdf",
@@ -30,7 +29,7 @@ __all__ = [
     "classic_ot_1d", "conditional_cdf_grid", "coupling_from_plan",
     "deterministic_plan", "discretize", "empirical_cost", "evaluate_cost",
     "family_from_dict", "family_to_dict", "independent_sum_plan",
-    "instance_from_dict", "merge_atoms", "mix_plans", "plan_from_samples",
+    "instance_from_dict", "merge_atoms", "mix_plans",
     "product_plan", "sample", "simulate",
     "solve", "solve_causal_transport", "verify_axioms", "verify_optimality",
 ]

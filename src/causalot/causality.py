@@ -62,7 +62,7 @@ def check_plan_causal(plan: TransportPlan, tol: float = DEFAULT_PLAN_TOL) -> Cau
     its conditional CDF at j.  Columns with fewer than two such rows carry
     no constraint.
     """
-    if tol < 0:
+    if not tol >= 0:  # NaN fails too
         raise ValueError("tolerance must be nonnegative")
     cdf = plan.conditional_cdf_matrix()
     anchors = anchor_rows(plan.source, plan.target)
@@ -117,7 +117,7 @@ def check_map_causal(measure: DiscreteMeasure, values,
     values = np.asarray(values, dtype=float)
     if values.shape != (measure.n,):
         raise ValueError("need one map value per atom")
-    if tol < 0:
+    if not tol >= 0:  # NaN fails too
         raise ValueError("tolerance must be nonnegative")
     xs = measure.support
     ws = measure.weights

@@ -261,13 +261,16 @@ def _example_gamma_poisson(args, out_dir: Path) -> int:
     result = solve_causal_transport(eta, nu, "abs",
                                     SimplexSettings(max_iterations=args.maxiter))
     analytic = args.increase / args.rate
+    # E|X - Y| >= EY - EX, and the quantile plan of these grids meets it, so the
+    # value is the discrete mean gap and the relative gap measures the grids.
+    mean_gap = nu.mean() - eta.mean()
     gap = abs(result.value - analytic) / analytic if result.value is not None else None
     payload = {"config": config, "analytic_value": analytic,
-               "relative_gap": gap, **result.to_dict()}
+               "discrete_mean_gap": mean_gap, "relative_gap": gap, **result.to_dict()}
     _emit_json(payload, str(out_dir / "gamma_poisson_result.json"))
     if gap is not None:
         print(f"value {_fmt(result.value)} vs analytic {_fmt(analytic)} "
-              f"(relative gap {gap:.3%})")
+              f"(relative gap {gap:.3%}), discrete mean gap {_fmt(mean_gap)}")
     return 0 if result.status == "optimal" else 2
 
 

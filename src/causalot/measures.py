@@ -14,7 +14,7 @@ import numpy as np
 from scipy import special
 
 # Atom coordinates are rounded to this many decimals whenever two grids have
-# to be matched exactly (mixtures, shifted sums, binning).
+# to be matched exactly (mixtures, shifted sums).
 SUPPORT_DECIMALS = 12
 
 _WEIGHT_SUM_EXACT = 1e-12
@@ -87,7 +87,7 @@ class DiscreteMeasure:
     def quantile(self, p):
         """Leftmost atom x with cdf(x) >= p, for p in (0, 1]."""
         p_arr = np.asarray(p, dtype=float)
-        if np.any(p_arr <= 0) or np.any(p_arr > 1):
+        if not np.all((p_arr > 0) & (p_arr <= 1)):  # NaN fails too
             raise ValueError("quantile levels must lie in (0, 1]")
         idx = np.searchsorted(self._cum, p_arr, side="left")
         idx = np.minimum(idx, self.n - 1)

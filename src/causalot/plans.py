@@ -10,8 +10,6 @@ by one scatter of (source row, target coordinate, mass) cells.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import special
 
@@ -56,25 +54,12 @@ class TransportPlan:
     def m(self) -> int:
         return self.target.n
 
-    def kernel(self) -> "Kernel":
-        rows = self.mass / self.source.weights[:, None]
-        return Kernel(rows=rows, source=self.source, target=self.target)
-
     def conditional_cdf_matrix(self) -> np.ndarray:
         """Matrix F with F[i, j] = P(Y <= y_j | X = x_i)."""
         if self._cond_cdf is None:
             cum = np.cumsum(self.mass, axis=1)
             self._cond_cdf = cum / self.source.weights[:, None]
         return self._cond_cdf
-
-    def conditional_cdf(self, i: int, a: float) -> float:
-        """P(Y <= a | X = x_i)."""
-        if not 0 <= i < self.n:
-            raise ValueError(f"row index {i} out of range")
-        j = int(np.searchsorted(self.target.support, a, side="right"))
-        if j == 0:
-            return 0.0
-        return float(self.conditional_cdf_matrix()[i, j - 1])
 
     def cost(self, costfn) -> float:
         """Total transport cost under a nonnegative cost function or matrix."""
@@ -102,35 +87,6 @@ class TransportPlan:
         return f"TransportPlan(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class Kernel:
-    """Row-wise disintegration of a plan: rows[i] is the law of Y given X = x_i."""
-
-    rows: np.ndarray
-    source: DiscreteMeasure
-    target: DiscreteMeasure
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=float)
-        if rows.shape != (self.source.n, self.target.n):
-            raise ValueError("kernel rows have the wrong shape")
-        err = np.abs(rows.sum(axis=1) - 1.0).max()
-        if err > _MARGINAL_TOL:
-            raise ValueError(f"kernel rows must each sum to 1 (off by {err:g})")
-
-    def row(self, i: int) -> np.ndarray:
-        return self.rows[i]
-
-    def cdf(self, i: int, a: float) -> float:
-        j = int(np.searchsorted(self.target.support, a, side="right"))
-        return float(self.rows[i, :j].sum())
-
-    def reconstruct(self) -> TransportPlan:
-        """Multiply the rows back by the source weights."""
-        return TransportPlan(self.source, self.target,
-                             self.rows * self.source.weights[:, None])
-
-
 COST_FUNCTIONS = {
     "abs": lambda x, y: np.abs(x - y),
     "square": lambda x, y: (x - y) ** 2,
@@ -150,8 +106,8 @@ def evaluate_cost(costfn, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         c = np.asarray(costfn, dtype=float)
     if c.shape != (xs.size, ys.size):
         raise ValueError(f"cost must have shape {(xs.size, ys.size)}, got {c.shape}")
-    if np.any(c < 0):
-        raise ValueError("cost values must be nonnegative")
+    if not np.all(np.isfinite(c) & (c >= 0)):
+        raise ValueError("cost values must be finite and nonnegative")
     return c
 
 
@@ -226,59 +182,6 @@ def _plan_from_cells(source: DiscreteMeasure, rows, coords, mass) -> TransportPl
     mass = np.bincount(rows * union.size + cols, weights=mass,
                        minlength=source.n * union.size).reshape(source.n, union.size)
     return TransportPlan(source, DiscreteMeasure(union, mass.sum(axis=0)), mass)
-
-
-def plan_from_samples(x, y, *, x_atoms=None, y_atoms=None,
-                      cells: tuple[int, int] | None = None) -> TransportPlan:
-    """Empirical plan from paired samples.
-
-    Either snap both coordinates to given atom grids (``x_atoms``/``y_atoms``)
-    or histogram them on ``cells=(nx, ny)`` equal-width midpoint grids.
-    Bins that receive no mass are dropped; marginals are the realized ones.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1 or x.size == 0:
-        raise ValueError("x and y must be equal-length nonempty 1-d arrays")
-    if (x_atoms is None) != (y_atoms is None):
-        raise ValueError("give both atom grids or neither")
-    if x_atoms is not None:
-        if cells is not None:
-            raise ValueError("choose atom snapping or cell binning, not both")
-        xi, xs = _snap(x, np.asarray(x_atoms, dtype=float))
-        yi, ys = _snap(y, np.asarray(y_atoms, dtype=float))
-    elif cells is not None:
-        xi, xs = _cell_bin(x, cells[0])
-        yi, ys = _cell_bin(y, cells[1])
-    else:
-        raise ValueError("give atom grids or a cell count")
-    counts = np.bincount(xi * ys.size + yi, minlength=xs.size * ys.size) / x.size
-    counts = counts.reshape(xs.size, ys.size)
-    keep_rows = counts.sum(axis=1) > 0
-    keep_cols = counts.sum(axis=0) > 0
-    counts = counts[np.ix_(keep_rows, keep_cols)]
-    source = DiscreteMeasure(xs[keep_rows], counts.sum(axis=1))
-    target = DiscreteMeasure(ys[keep_cols], counts.sum(axis=0))
-    return TransportPlan(source, target, counts)
-
-
-def _snap(values: np.ndarray, atoms: np.ndarray):
-    if atoms.ndim != 1 or atoms.size == 0 or (atoms.size > 1 and not np.all(np.diff(atoms) > 0)):
-        raise ValueError("atom grids must be strictly increasing and nonempty")
-    mids = 0.5 * (atoms[:-1] + atoms[1:])
-    return np.searchsorted(mids, values), atoms
-
-
-def _cell_bin(values: np.ndarray, count: int):
-    if count < 1:
-        raise ValueError("cell counts must be positive")
-    lo, hi = float(values.min()), float(values.max())
-    if lo == hi:
-        return np.zeros(values.size, dtype=int), np.array([lo])
-    edges = np.linspace(lo, hi, count + 1)
-    idx = np.clip(np.searchsorted(edges, values, side="right") - 1, 0, count - 1)
-    mids = _round_support(0.5 * (edges[:-1] + edges[1:]))
-    return idx, mids
 
 
 # ---------- closed forms and grid emission ----------

@@ -182,18 +182,18 @@ def certify(problem: LpProblem, x, duals) -> CertificateReport:
     The mass is mapped to LP variables with ``problem.variables``.  A plan
     that the map does not reproduce is not causal, and the gap counts as
     primal residual.  Residuals and negative mass may reach 1e-9, reduced
-    costs -1e-8.
+    costs -1e-8.  Each check is written so that NaN fails it.
     """
     mass = np.asarray(x, dtype=float).ravel()
     failures = []
     if mass.size != problem.shared.size:
         return CertificateReport(False, ["primal vector has the wrong length"])
-    if mass.min() < -_RESIDUAL_TOL:
+    if not mass.min() >= -_RESIDUAL_TOL:
         failures.append(f"negative mass {mass.min():g}")
     x = problem.variables(mass)
     residual = max(float(np.abs(problem.matrix @ x - problem.rhs).max()),
                    float(np.abs(problem.plan_mass(x).ravel() - mass).max()))
-    if residual > _RESIDUAL_TOL:
+    if not residual <= _RESIDUAL_TOL:
         failures.append(f"primal residual {residual:g}")
     value = float(problem.objective @ x)
     if duals is None:
@@ -201,13 +201,13 @@ def certify(problem: LpProblem, x, duals) -> CertificateReport:
     else:
         duals = np.asarray(duals, dtype=float)
         reduced = problem.objective - problem.matrix.T @ duals
-        if reduced.min() < -_REDUCED_COST_TOL:
+        if not reduced.min() >= -_REDUCED_COST_TOL:
             failures.append(f"reduced cost {reduced.min():g}")
         slackness = float(np.abs(x * reduced).max())
-        if slackness > 1e-7 * max(1.0, abs(value)):
+        if not slackness <= 1e-7 * max(1.0, abs(value)):
             failures.append(f"complementary slackness {slackness:g}")
         gap = abs(value - float(problem.rhs @ duals))
-        if gap > 1e-8 * max(1.0, abs(value)):
+        if not gap <= 1e-8 * max(1.0, abs(value)):
             failures.append(f"dual gap {gap:g}")
     return CertificateReport(not failures, failures)
 

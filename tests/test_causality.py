@@ -139,6 +139,12 @@ class TestCheckPlanCausal:
         with pytest.raises(ValueError):
             check_plan_causal(product_plan(eta, eta), tol=-1.0)
 
+    def test_rejects_nan_tolerance(self):
+        # A NaN tolerance would fail every `dev <= tol`.
+        eta = uniform_on([0.0, 1.0])
+        with pytest.raises(ValueError, match="tolerance"):
+            check_plan_causal(product_plan(eta, eta), tol=float("nan"))
+
 
 class TestCheckMapCausal:
     def test_shift_up_is_above_diagonal(self):
@@ -172,6 +178,11 @@ class TestCheckMapCausal:
         values = [-1.0, 1.5, 2.5]  # only the tiny first atom dips below
         assert not check_map_causal(eta, values).causal
         assert check_map_causal(eta, values, tol=0.01).causal
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_rejects_bad_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            check_map_causal(uniform_on([0.0, 1.0]), [0.5, 1.5], tol=tol)
 
     def test_agrees_with_plan_check_on_random_maps(self):
         rng = np.random.default_rng(42)

@@ -109,6 +109,18 @@ class TestCheck:
         map_file = write(tmp_path / "map.json", {"constant": 1.0})
         assert main(["check", "--map", map_file]) == 1
 
+    def test_nan_tolerance_rejected(self, tmp_path, capsys):
+        # A NaN tolerance would fail every comparison and call this causal plan non-causal.
+        plan_file = write(tmp_path / "plan.json", {
+            "source": {"support": [0.0, 1.0, 2.0], "weights": [1 / 3] * 3},
+            "target": {"support": [0.5, 10.0], "weights": [0.5, 0.5]},
+            "mass": [[1 / 6, 1 / 6]] * 3,
+        })
+        out = tmp_path / "report.json"
+        assert main(["check", "--plan", plan_file, "--tol", "nan", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: tolerance must be nonnegative\n"
+        assert not out.exists()
+
 
 class TestSolve:
     def test_two_measure_files(self, tmp_path, uniform3):
@@ -179,6 +191,18 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: simplex tolerance must be nonnegative")
         assert err.count("\n") == 1
+
+    def test_nan_cost_table_rejected(self, tmp_path, capsys):
+        # json reads NaN; a NaN cost must not reach the solve and its certificate.
+        inst = write(tmp_path / "inst.json", {
+            "eta": {"support": [1.0, 2.0], "weights": [0.5, 0.5]},
+            "nu": {"support": [0.0, 3.0], "weights": [0.5, 0.5]},
+            "cost": {"table": [[float("nan"), 1.0], [1.0, 0.0]]},
+        })
+        out = tmp_path / "result.json"
+        assert main(["solve", "--instance", inst, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: cost values must be finite and nonnegative\n"
+        assert not out.exists()
 
 
 class TestCouple:
@@ -268,7 +292,11 @@ class TestExample:
         assert result["status"] == "optimal"
         assert result["analytic_value"] == pytest.approx(100.0)
         assert result["relative_gap"] < 0.1
-        assert "relative gap" in capsys.readouterr().out
+        # The quantile plan of these grids is causal and meets E|X - Y| >= EY - EX.
+        assert result["value"] == pytest.approx(result["discrete_mean_gap"], abs=1e-9, rel=0)
+        printed = capsys.readouterr().out
+        assert "relative gap" in printed
+        assert "discrete mean gap" in printed
 
     def test_unknown_example_rejected(self):
         assert main(["example", "nothere"]) == 1

@@ -76,6 +76,14 @@ class TestDiscreteMeasure:
         assert m.quantile(0.21) == 1.0
         assert m.quantile(1.0) == 2.0
 
+    @pytest.mark.parametrize("p", [0.0, 1.5, float("nan")])
+    def test_quantile_rejects_levels_outside_unit_interval(self, p):
+        m = DiscreteMeasure([1.0, 2.0, 3.0], [0.2, 0.3, 0.5])
+        with pytest.raises(ValueError, match="quantile levels"):
+            m.quantile(p)
+        with pytest.raises(ValueError, match="quantile levels"):
+            m.quantile([0.5, p])
+
     def test_quantile_cdf_galois(self):
         rng = np.random.default_rng(3)
         support = np.sort(rng.normal(size=7))

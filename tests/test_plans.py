@@ -9,7 +9,7 @@ from causalot.measures import (SUPPORT_DECIMALS, Dirac, DiscreteMeasure, Exponen
 from causalot.plans import (TransportPlan, brownian_passage_conditional_cdf,
                             conditional_cdf_grid, deterministic_plan,
                             evaluate_cost, independent_sum_plan, mix_plans,
-                            plan_from_samples, product_plan)
+                            product_plan)
 
 # 1 - erf(u) recomputed from the alternating series for erf, frozen here.
 ONE_MINUS_ERF_1 = 0.15729920705028522
@@ -58,19 +58,6 @@ class TestTransportPlan:
         expected = np.array([[0.75, 1.0], [1.0 / 3.0, 1.0]])
         assert_allclose(plan.conditional_cdf_matrix(), expected)
 
-    def test_conditional_cdf_scalar_lookup(self):
-        plan = two_by_two()
-        assert plan.conditional_cdf(0, 1.9) == 0.0
-        assert plan.conditional_cdf(0, 2.0) == pytest.approx(0.75)
-        assert plan.conditional_cdf(1, 3.5) == pytest.approx(1.0)
-
-    def test_kernel_round_trip(self):
-        plan = two_by_two()
-        kernel = plan.kernel()
-        assert_allclose(kernel.rows.sum(axis=1), [1.0, 1.0])
-        again = kernel.reconstruct()
-        assert_allclose(again.mass, plan.mass)
-
     def test_cost_with_builtin_names(self):
         plan = two_by_two()
         direct = sum(plan.mass[i, j] * abs(plan.source.support[i] - plan.target.support[j])
@@ -101,6 +88,17 @@ class TestEvaluateCost:
         xs = np.array([0.0, 1.0])
         with pytest.raises(ValueError, match="negative"):
             evaluate_cost(lambda x, y: x - y, xs, xs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        xs = np.array([0.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            evaluate_cost([[bad, 1.0], [1.0, 0.0]], xs, xs)
+
+    def test_plan_cost_rejects_infinite_table(self):
+        plan = two_by_two()
+        with pytest.raises(ValueError, match="finite"):
+            plan.cost(np.full((2, 2), np.inf))
 
 
 class TestConstructors:
@@ -237,27 +235,6 @@ class TestCellScatter:
             mix_plans([(1.0, starved)])
         fed = mix_plans([(0.5, starved), (0.5, product_plan(eta, DiscreteMeasure([2.0], [1.0])))])
         assert_array_equal(fed.target.support, [1.0, 2.0])
-
-
-class TestPlanFromSamples:
-    def test_snap_to_atoms(self):
-        x = np.array([0.1, 0.9, 2.1, 1.9])
-        y = np.array([10.2, 10.1, 11.9, 12.2])
-        plan = plan_from_samples(x, y, x_atoms=[0.0, 1.0, 2.0], y_atoms=[10.0, 12.0])
-        assert_allclose(plan.source.weights.sum(), 1.0)
-        assert_allclose(plan.mass.sum(), 1.0)
-        assert plan.mass[0, 0] == pytest.approx(0.25)
-
-    def test_cell_binning_degenerate_direction(self):
-        x = np.full(8, 3.0)
-        y = np.arange(8.0)
-        plan = plan_from_samples(x, y, cells=(4, 4))
-        assert plan.n == 1
-        assert plan.source.support[0] == 3.0
-
-    def test_requires_some_grid(self):
-        with pytest.raises(ValueError, match="atom grids or a cell count"):
-            plan_from_samples([0.0], [1.0])
 
 
 class TestBrownianPassage:

@@ -7,7 +7,7 @@ from scipy.optimize import linprog
 
 import causalot.solver as solver_module
 from causalot.causality import check_cyclical_monotonicity, check_plan_causal
-from causalot.measures import DiscreteMeasure, Exponential, Gamma, discretize
+from causalot.measures import DiscreteMeasure, Exponential, Gamma, Uniform, discretize
 from causalot.plans import evaluate_cost
 from causalot.plans import TransportPlan, deterministic_plan, product_plan
 from causalot.simplex import SimplexSettings, solve_standard_form
@@ -399,6 +399,59 @@ class TestSolveCausalTransport:
         assert result.status == "optimal"
 
 
+@st.composite
+def waiting_time_pairs(draw):
+    """Law of X and the exact law of Y = min(X, tau), tau independent of X.
+
+    X and tau live on one grid of 2-15 atoms; tau also puts mass on
+    "never", where Y = X.  Atoms of Y with zero weight are dropped.
+    """
+    grid = np.sort(draw(st.lists(st.integers(0, 40), min_size=2, max_size=15,
+                                 unique=True))) * 0.5
+    n = grid.size
+    x_w = np.asarray(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)
+                          .filter(any)), dtype=float)
+    tau_w = np.asarray(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)),
+                       dtype=float)
+    never = draw(st.integers(1, 9))
+    x_w /= x_w.sum()
+    tau_w /= tau_w.sum() + never
+    # Y = grid[min(k, l)] for X = grid[k], tau = grid[l]; "never" leaves Y = X.
+    y_w = x_w * (1 - tau_w.sum())
+    for k in range(n):
+        for l in range(n):
+            y_w[min(k, l)] += x_w[k] * tau_w[l]
+    keep_x, keep_y = x_w > 0, y_w > 0
+    return (DiscreteMeasure(grid[keep_x], x_w[keep_x]),
+            DiscreteMeasure(grid[keep_y], y_w[keep_y]))
+
+
+class TestWaitingTimeOracle:
+    """Exact causal values from the waiting-time representation.
+
+    With Z = 0, Y = min(X, tau) is a causal coupling with Y <= X, so it
+    costs EX - EY under |x - y|, and no coupling costs less because
+    E|X - Y| >= EX - EY.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(waiting_time_pairs())
+    def test_value_is_mean_gap(self, pair):
+        eta, nu = pair
+        result = solve_causal_transport(eta, nu, "abs")
+        assert result.value == pytest.approx(eta.mean() - nu.mean(), abs=1e-9, rel=0)
+
+    def test_uniform_pair_pays_for_causality(self):
+        # U[1,2] -> U[0,3]: causal value 2/3 against 1/2 without causality.
+        # 201 atoms put grid points on the kinks at 1 and 2.
+        eta = discretize(Uniform(1.0, 2.0), 201)
+        nu = discretize(Uniform(0.0, 3.0), 201)
+        result = solve_causal_transport(eta, nu, "abs")
+        assert result.value == pytest.approx(2 / 3, abs=1e-12, rel=0)
+        classic, _ = classic_ot_1d(eta, nu)
+        assert result.value - classic > 0.16
+
+
 class TestCertificates:
     def instance(self):
         eta = uniform_on([0.0, 1.0, 2.0])
@@ -435,6 +488,29 @@ class TestCertificates:
         report = certify(problem, bad, result.duals)
         assert not report.ok
         assert any("residual" in f for f in report.failures)
+
+    def test_nan_duals_rejected(self):
+        # Each check is written so that a NaN comparison fails it.
+        problem, result = self.instance()
+        report = certify(problem, result.plan.mass.ravel(),
+                         np.full_like(result.duals, np.nan))
+        assert report.failures == ["reduced cost nan", "complementary slackness nan",
+                                   "dual gap nan"]
+
+    def test_nan_mass_entry_rejected(self):
+        problem, result = self.instance()
+        mass = result.plan.mass.ravel().copy()
+        mass[0] = np.nan
+        report = certify(problem, mass, result.duals)
+        assert not report.ok
+        assert "negative mass nan" in report.failures
+        assert "primal residual nan" in report.failures
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cost_table_rejected(self, bad):
+        eta, nu = uniform_on([1.0, 2.0]), uniform_on([0.0, 3.0])
+        with pytest.raises(ValueError, match="finite"):
+            build_causal_lp(eta, nu, np.array([[bad, 1.0], [1.0, 0.0]]))
 
     def test_non_optimal_status_rejected(self):
         problem, _ = self.instance()
