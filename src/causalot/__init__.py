@@ -12,7 +12,6 @@ from .measures import (Dirac, DiscreteMeasure, Exponential, Family, Gamma,
 from .plans import (COST_FUNCTIONS, TransportPlan, brownian_passage_conditional_cdf,
                     conditional_cdf_grid, deterministic_plan, evaluate_cost,
                     independent_sum_plan, mix_plans, product_plan)
-from .simplex import SimplexSettings
 from .solver import (CertificateReport, LpProblem, SolveResult,
                      build_causal_lp, certify, classic_ot_1d, instance_from_dict,
                      solve, solve_causal_transport, verify_optimality)
@@ -22,7 +21,7 @@ __all__ = [
     "CouplingSample", "CouplingSpec", "Dirac",
     "DiscreteMeasure", "Exponential", "Family", "Gamma", "Gaussian",
     "LevyFirstPassage", "LpProblem", "MapCausalityReport", "MonotonicityReport",
-    "SimplexSettings", "SolveResult", "TAU_EQUAL_TO_X", "TAU_NEVER",
+    "SolveResult", "TAU_EQUAL_TO_X", "TAU_NEVER",
     "TransportPlan", "Uniform", "brownian_passage_conditional_cdf",
     "build_causal_lp", "certify",
     "check_cyclical_monotonicity", "check_map_causal", "check_plan_causal",

@@ -24,7 +24,6 @@ from .measures import (_FAMILY_FIELDS, DiscreteMeasure, Exponential, Family, Gam
 from .plans import (TransportPlan, brownian_passage_conditional_cdf,
                     conditional_cdf_grid, independent_sum_plan, mix_plans,
                     product_plan)
-from .simplex import SimplexSettings
 from .solver import instance_from_dict, solve_causal_transport
 
 
@@ -139,22 +138,23 @@ def _map_values(data: dict, measure: DiscreteMeasure) -> np.ndarray:
 
 
 def _cmd_solve(args) -> int:
+    # An instance file names its own cost, so the echo names none for it.
+    cost = None if args.instance is not None else args.cost or "abs"
     config = {"command": "solve", "eta": args.eta, "nu": args.nu,
-              "instance": args.instance, "cost": args.cost,
-              "maxiter": args.maxiter, "tol": args.tol, "out": args.out}
+              "instance": args.instance, "cost": cost, "out": args.out}
     _echo(config)
     if args.instance is not None:
         if args.eta is not None or args.nu is not None:
             raise _UsageError("give either an --instance file or eta and nu files")
+        if args.cost is not None:
+            raise _UsageError("--cost applies only to eta and nu files, not --instance")
         eta, nu, cost = instance_from_dict(_load_json(args.instance))
     else:
         if args.eta is None or args.nu is None:
             raise _UsageError("solving needs eta and nu files (or --instance)")
         eta = DiscreteMeasure.from_dict(_load_json(args.eta))
         nu = DiscreteMeasure.from_dict(_load_json(args.nu))
-        cost = args.cost
-    settings = SimplexSettings(max_iterations=args.maxiter, tolerance=args.tol)
-    result = solve_causal_transport(eta, nu, cost, settings)
+    result = solve_causal_transport(eta, nu, cost)
     _emit_json({"config": config, **result.to_dict()}, args.out)
     return 0 if result.status == "optimal" else 2
 
@@ -258,8 +258,7 @@ def _example_gamma_poisson(args, out_dir: Path) -> int:
     _echo(config)
     eta = discretize(Gamma(args.shape, args.rate), args.atoms)
     nu = discretize(Gamma(args.shape + args.increase, args.rate), args.atoms)
-    result = solve_causal_transport(eta, nu, "abs",
-                                    SimplexSettings(max_iterations=args.maxiter))
+    result = solve_causal_transport(eta, nu, "abs")
     analytic = args.increase / args.rate
     # E|X - Y| >= EY - EX, and the quantile plan of these grids meets it, so the
     # value is the discrete mean gap and the relative gap measures the grids.
@@ -304,9 +303,7 @@ def build_parser() -> _Parser:
     p.add_argument("eta", nargs="?", default=None, help="source measure JSON file")
     p.add_argument("nu", nargs="?", default=None, help="target measure JSON file")
     p.add_argument("--instance", type=str, default=None, help="combined instance file")
-    p.add_argument("--cost", choices=["abs", "square"], default="abs")
-    p.add_argument("--maxiter", type=int, default=50_000)
-    p.add_argument("--tol", type=float, default=1e-9, help="simplex pivot tolerance")
+    p.add_argument("--cost", choices=["abs", "square"], help="eta and nu files: cost (abs)")
     p.add_argument("--out", type=str, default=None, help="output file")
     p.set_defaults(fn=_cmd_solve)
 
@@ -341,7 +338,6 @@ def build_parser() -> _Parser:
     p.add_argument("--increase", type=int, default=1,
                    help="gamma-poisson: extra target shape")
     p.add_argument("--rate", type=float, default=0.01, help="gamma-poisson: rate")
-    p.add_argument("--maxiter", type=int, default=50_000)
     p.add_argument("--tol", type=float, default=1e-9,
                    help="mixture: largest accepted causality deviation")
     p.add_argument("--out", type=str, default=None, help="output directory")

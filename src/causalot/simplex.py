@@ -13,7 +13,8 @@ left in the basis after phase 1 are driven out by the admissible column
 with the most negative phase-2 reduced cost, the one phase 2 would
 price first.  Pricing is Dantzig's most-negative rule
 with a switch to Bland's rule after a run of degenerate pivots, which
-guarantees termination.  The reported solution is recomputed from the
+guarantees termination.  Pricing and the ratio test share the fixed
+tolerance ``_PIVOT_TOL``.  The reported solution is recomputed from the
 final basis by a fresh factorization, so residuals do not inherit pivot
 drift.
 """
@@ -25,16 +26,7 @@ import numpy as np
 from scipy.linalg.blas import dger
 
 _ARTIFICIAL = -1
-
-
-@dataclass(frozen=True)
-class SimplexSettings:
-    max_iterations: int = 50_000
-    tolerance: float = 1e-9
-
-    def __post_init__(self):
-        if not self.tolerance >= 0:
-            raise ValueError(f"simplex tolerance must be nonnegative, got {self.tolerance!r}")
+_PIVOT_TOL = 1e-9  # reduced costs and pivot entries within it count as zero
 
 
 @dataclass
@@ -49,8 +41,8 @@ class SimplexSolution:
     dual_gap: float | None = None
 
 
-def solve_standard_form(A, b, c, settings: SimplexSettings | None = None,
-                        start=None) -> SimplexSolution:
+def solve_standard_form(A, b, c, *, start=None,
+                        max_iterations: int = 50_000) -> SimplexSolution:
     """Minimize c'x subject to A x = b, x >= 0.
 
     ``start``, if given, is a feasible point whose support is meant to be a
@@ -61,11 +53,7 @@ def solve_standard_form(A, b, c, settings: SimplexSettings | None = None,
     the right-hand side turns negative, or phase 1 cannot bring the
     infeasibility to zero.  ``iterations`` counts every pivot of the
     reported solve, crash pivots included, against ``max_iterations``.
-
-    A tolerance at or above every coefficient of ``A`` can pass no ratio
-    test, so it raises ``RuntimeError`` before any pivot.
     """
-    settings = settings or SimplexSettings()
     A = np.array(A, dtype=float)
     b = np.array(b, dtype=float)
     c = np.ascontiguousarray(c, dtype=float)
@@ -76,10 +64,6 @@ def solve_standard_form(A, b, c, settings: SimplexSettings | None = None,
         if start.shape != c.shape:
             raise ValueError("start has the wrong length")
     rows, cols = A.shape
-    tol = settings.tolerance
-    if 0.0 < max(A.max(initial=0.0), -A.min(initial=0.0)) <= tol:
-        raise RuntimeError(f"no coefficient above tolerance {tol:g}; "
-                           "the tolerance is too large for this LP")
     flip = b < 0
     A[flip] *= -1.0
     b[flip] *= -1.0
@@ -128,7 +112,7 @@ def solve_standard_form(A, b, c, settings: SimplexSettings | None = None,
 
     def ratio_row(col: int, bland: bool) -> int | None:
         coefs = tab[:rows, col]
-        eligible = active & (coefs > tol)
+        eligible = active & (coefs > _PIVOT_TOL)
         if not eligible.any():
             return None
         idx = np.flatnonzero(eligible)
@@ -148,10 +132,10 @@ def solve_standard_form(A, b, c, settings: SimplexSettings | None = None,
         while True:
             if phase_one and -tab[obj_row, cols] <= 1e-10:
                 return "done"
-            if iterations >= settings.max_iterations:
+            if iterations >= max_iterations:
                 return "iteration-limit"
             reduced = tab[obj_row, :cols]
-            candidates = (reduced < -tol) & ~in_basis
+            candidates = (reduced < -_PIVOT_TOL) & ~in_basis
             if not candidates.any():
                 return "done"
             if stall >= stall_limit:
@@ -161,9 +145,8 @@ def solve_standard_form(A, b, c, settings: SimplexSettings | None = None,
                 col = int(np.argmin(masked))
             row = ratio_row(col, bland=stall >= stall_limit)
             if row is None:
-                if phase_one:  # phase 1 is bounded below, so only a large tolerance gets here
-                    raise RuntimeError(f"no pivot row above tolerance {tol:g} in phase 1; "
-                                       "the tolerance is too large for this LP")
+                if phase_one:  # phase 1 is bounded below: every entry of the column is tiny
+                    raise RuntimeError(f"no pivot row above tolerance {_PIVOT_TOL:g} in phase 1")
                 raise RuntimeError("LP is unbounded below")
             step = tab[row, cols] / tab[row, col]
             stall = stall + 1 if step <= 1e-12 else 0
@@ -180,7 +163,7 @@ def solve_standard_form(A, b, c, settings: SimplexSettings | None = None,
         # at that level, under the phase-1 stop, for the drive-out to divide
         # by a pivot that may be tiny too.
         for col in np.flatnonzero(x > 0.0):
-            if iterations >= settings.max_iterations:
+            if iterations >= max_iterations:
                 break
             coefs = np.where(basis == _ARTIFICIAL, np.abs(tab[:rows, col]), 0.0)
             if coefs.max(initial=0.0) <= 1e-7:
@@ -189,7 +172,7 @@ def solve_standard_form(A, b, c, settings: SimplexSettings | None = None,
             basis[row] = col
             in_basis[col] = True
             pivot(row, col)
-        return tab[:rows, cols].min(initial=0.0) >= -tol
+        return tab[:rows, cols].min(initial=0.0) >= -_PIVOT_TOL
 
     for warm in ((True, False) if start is not None else (False,)):
         reset()

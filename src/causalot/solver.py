@@ -10,9 +10,9 @@ Zalashko, "Causal transport in discrete time and applications" (SIAM J.
 Optim. 2017).  The LP is solved by the dense two-phase simplex in
 :mod:`causalot.simplex`, started at the causal north-west corner
 (:meth:`LpProblem.corner`), a vertex of the reduced LP that the explicit
-form gives at no cost.  :func:`solve_causal_transport` reports an
-optimum only after LP duality certifies it from the reported duals and
-the plan passes the causality check.
+form gives at no cost, so the solve takes no settings.
+:func:`solve_causal_transport` reports an optimum only after LP duality
+certifies it from the reported duals and the plan passes the causality check.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import numpy as np
 from .causality import anchor_rows, check_cyclical_monotonicity, check_plan_causal
 from .measures import DiscreteMeasure
 from .plans import TransportPlan, evaluate_cost
-from .simplex import SimplexSettings, solve_standard_form
+from .simplex import solve_standard_form
 
 
 @dataclass
@@ -150,9 +150,9 @@ class SolveResult:
         }
 
 
-def solve(problem: LpProblem, settings: SimplexSettings | None = None) -> SolveResult:
+def solve(problem: LpProblem) -> SolveResult:
     """Run the two-phase simplex on a built instance, started at its causal corner."""
-    sol = solve_standard_form(problem.matrix, problem.rhs, problem.objective, settings,
+    sol = solve_standard_form(problem.matrix, problem.rhs, problem.objective,
                               start=problem.corner())
     if sol.status != "optimal":
         return SolveResult(sol.status, sol.iterations)
@@ -252,8 +252,7 @@ def classic_ot_1d(source: DiscreteMeasure, target: DiscreteMeasure):
     return value, plan
 
 
-def solve_causal_transport(source: DiscreteMeasure, target: DiscreteMeasure, costfn,
-                           settings: SimplexSettings | None = None) -> SolveResult:
+def solve_causal_transport(source: DiscreteMeasure, target: DiscreteMeasure, costfn) -> SolveResult:
     """Build and solve one instance, then certify the optimum and its causality.
 
     An optimum that fails its duality certificate or the causality re-check
@@ -264,7 +263,7 @@ def solve_causal_transport(source: DiscreteMeasure, target: DiscreteMeasure, cos
     it stays a standalone check.
     """
     problem = build_causal_lp(source, target, costfn)
-    result = solve(problem, settings)
+    result = solve(problem)
     if result.status != "optimal":
         return result
     cert = verify_optimality(problem, result)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from causalot.causality import check_cyclical_monotonicity, check_plan_causal
 from causalot.measures import DiscreteMeasure, Exponential, Gamma, Uniform, discretize
 from causalot.plans import evaluate_cost
 from causalot.plans import TransportPlan, deterministic_plan, product_plan
-from causalot.simplex import SimplexSettings, solve_standard_form
+from causalot.simplex import solve_standard_form
 from causalot.solver import (build_causal_lp, certify, classic_ot_1d,
                              instance_from_dict, solve, solve_causal_transport,
                              verify_optimality)
@@ -59,9 +61,9 @@ def anchor_row_value(source, target, cost) -> float:
     return ref.fun
 
 
-def solve_with_corrupted_duals(problem, settings=None):
+def solve_with_corrupted_duals(problem):
     """An optimal solve whose first dual is off, as in TestCertificates."""
-    result = solve(problem, settings)
+    result = solve(problem)
     result.duals[0] += 0.25
     return result
 
@@ -205,6 +207,16 @@ class TestTinyWeights:
         assert result.value == pytest.approx(anchor_row_value(eta, nu, cost),
                                              abs=1e-9, rel=0)
 
+    def test_failed_crash_falls_back_to_cold(self):
+        # Crashing the corner's support meets the 1e-7 pivot floor on these
+        # weights, so the simplex drops the start and reruns cold.
+        eta = DiscreteMeasure([3.5, 7.0], [1 - 1e-8, 1e-8])
+        nu = DiscreteMeasure([4.0, 6.0], [1 - 1e-10, 1e-10])
+        result = solve_causal_transport(eta, nu, "abs")
+        assert verify_optimality(build_causal_lp(eta, nu, "abs"), result).ok
+        assert result.value == pytest.approx(0.5 * (1 - 1e-8) + 0.99 * 3e-8 + 1e-10,
+                                             abs=1e-12, rel=0)
+
     @settings(max_examples=300, deadline=None)
     @given(tiny_weight_instances())
     def test_matches_anchor_row_lp(self, instance):
@@ -300,10 +312,12 @@ class TestSolve:
             assert ref.status == 0
             assert result.value == pytest.approx(ref.fun, abs=1e-8, rel=1e-8)
 
-    def test_iteration_limit_passthrough(self):
+    def test_iteration_limit_passthrough(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "solve_standard_form",
+                            functools.partial(solve_standard_form, max_iterations=1))
         eta, nu = random_instance(np.random.default_rng(1))
         problem = build_causal_lp(eta, nu, "abs")
-        result = solve(problem, SimplexSettings(max_iterations=1))
+        result = solve(problem)
         assert result.status == "iteration-limit"
         assert result.plan is None
 
@@ -512,9 +526,11 @@ class TestCertificates:
         with pytest.raises(ValueError, match="finite"):
             build_causal_lp(eta, nu, np.array([[bad, 1.0], [1.0, 0.0]]))
 
-    def test_non_optimal_status_rejected(self):
+    def test_non_optimal_status_rejected(self, monkeypatch):
         problem, _ = self.instance()
-        limited = solve(problem, SimplexSettings(max_iterations=1))
+        monkeypatch.setattr(solver_module, "solve_standard_form",
+                            functools.partial(solve_standard_form, max_iterations=1))
+        limited = solve(problem)
         assert not verify_optimality(problem, limited).ok
 
     def test_non_causal_plan_rejected(self):
