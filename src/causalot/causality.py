@@ -59,31 +59,22 @@ def check_plan_causal(plan: TransportPlan, tol: float = DEFAULT_PLAN_TOL) -> Cau
 
     The anchor of target atom j is the first source atom strictly above it
     (:func:`anchor_rows`); every source atom from the anchor up must share
-    its conditional CDF at j.  Columns with fewer than two such rows carry
-    no constraint.
+    its conditional CDF at j.  One gather reads the constrained cells, the
+    rows k > anchor_j of each column j listed column by column, and compares
+    each with its anchor cell, so the violations come out in (j, then k)
+    order.  Columns with fewer than two such rows constrain no cell.
     """
     if not tol >= 0:  # NaN fails too
         raise ValueError("tolerance must be nonnegative")
     cdf = plan.conditional_cdf_matrix()
     anchors = anchor_rows(plan.source, plan.target)
-    cols = np.flatnonzero(plan.n - anchors >= 2)
-    if cols.size == 0:
-        return CausalityReport(causal=True, max_deviation=0.0, tolerance=tol)
-    # Suffix extrema over rows give each column's worst member in one sweep.
-    # Each full-size suffix array is read at the anchors and dropped at once.
-    rows = anchors[cols]
-    at_anchor = cdf[rows, cols]
-    highest = np.maximum.accumulate(cdf[::-1], axis=0)[::-1][rows, cols]
-    lowest = np.minimum.accumulate(cdf[::-1], axis=0)[::-1][rows, cols]
-    devs = np.maximum(highest - at_anchor, at_anchor - lowest)
-    max_dev = float(devs.max(initial=0.0))
-    offending = devs > tol
-    violations = []
-    for a, j in zip(rows[offending], cols[offending]):
-        row_devs = np.abs(cdf[a:, j] - cdf[a, j])
-        for k in np.flatnonzero(row_devs > tol):
-            violations.append(CausalityViolation(target_index=int(j), row=int(a + k),
-                                                 deviation=float(row_devs[k])))
+    cols, rows = np.nonzero(np.arange(plan.n) > anchors[:, None])
+    gap = np.abs(cdf[rows, cols] - cdf[anchors[cols], cols])
+    max_dev = float(gap.max(initial=0.0))
+    bad = np.flatnonzero(gap > tol)
+    violations = [CausalityViolation(target_index=j, row=k, deviation=d)
+                  for j, k, d in zip(cols[bad].tolist(), rows[bad].tolist(),
+                                     gap[bad].tolist())]
     return CausalityReport(causal=bool(max_dev <= tol), max_deviation=max_dev,
                            tolerance=tol, violations=violations)
 

@@ -56,8 +56,16 @@ def _emit_json(obj: dict, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _echo(config: dict) -> None:
-    print(json.dumps({"config": config}))
+def _echo(config: dict) -> dict:
+    """Print the config as one strict JSON line and return it.
+
+    Non-finite floats become the strings "nan", "inf" and "-inf", here and
+    in the output file that repeats the config.
+    """
+    config = {key: str(value) if isinstance(value, float) and not np.isfinite(value)
+              else value for key, value in config.items()}
+    print(json.dumps({"config": config}, allow_nan=False))
+    return config
 
 
 _FAMILY_ALIASES = {"exp": "exponential", "gauss": "gaussian", "normal": "gaussian",
@@ -95,18 +103,17 @@ def _parse_tau_token(token: str):
 
 def _cmd_discretize(args) -> int:
     spec = family_from_dict(_load_json(args.spec))
-    config = {"command": "discretize", "spec": args.spec, "n": args.n,
-              "scheme": args.scheme, "lo": args.lo, "hi": args.hi, "out": args.out}
-    _echo(config)
+    config = _echo({"command": "discretize", "spec": args.spec, "n": args.n,
+                    "scheme": args.scheme, "lo": args.lo, "hi": args.hi,
+                    "out": args.out})
     measure = discretize(spec, args.n, args.scheme, lo=args.lo, hi=args.hi)
     _emit_json({"config": config, **measure.to_dict()}, args.out)
     return 0
 
 
 def _cmd_check(args) -> int:
-    config = {"command": "check", "plan": args.plan, "measure": args.measure,
-              "map": args.map, "tol": args.tol, "out": args.out}
-    _echo(config)
+    config = _echo({"command": "check", "plan": args.plan, "measure": args.measure,
+                    "map": args.map, "tol": args.tol, "out": args.out})
     if args.plan is not None:
         if args.measure is not None or args.map is not None:
             raise _UsageError("give either --plan or --measure with --map")
@@ -140,9 +147,8 @@ def _map_values(data: dict, measure: DiscreteMeasure) -> np.ndarray:
 def _cmd_solve(args) -> int:
     # An instance file names its own cost, so the echo names none for it.
     cost = None if args.instance is not None else args.cost or "abs"
-    config = {"command": "solve", "eta": args.eta, "nu": args.nu,
-              "instance": args.instance, "cost": cost, "out": args.out}
-    _echo(config)
+    config = _echo({"command": "solve", "eta": args.eta, "nu": args.nu,
+                    "instance": args.instance, "cost": cost, "out": args.out})
     if args.instance is not None:
         if args.eta is not None or args.nu is not None:
             raise _UsageError("give either an --instance file or eta and nu files")
@@ -160,10 +166,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_couple(args) -> int:
-    config = {"command": "couple", "x": args.x, "tau": args.tau, "z": args.z,
-              "from_plan": args.from_plan, "n": args.n, "seed": args.seed,
-              "confidence": args.confidence, "out": args.out, "report": args.report}
-    _echo(config)
+    config = _echo({"command": "couple", "x": args.x, "tau": args.tau, "z": args.z,
+                    "from_plan": args.from_plan, "n": args.n, "seed": args.seed,
+                    "confidence": args.confidence, "out": args.out,
+                    "report": args.report})
     if args.from_plan is not None:
         if args.x or args.tau or args.z:
             raise _UsageError("--from-plan replaces --x/--tau/--z")
@@ -200,22 +206,16 @@ def _write_csv(header: str, columns, out, chunk: int = 65_536) -> None:
 def _cmd_example(args) -> int:
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.name == "mixture":
-        return _example_mixture(args, out_dir)
-    if args.name == "brownian":
-        return _example_brownian(args, out_dir)
-    return _example_gamma_poisson(args, out_dir)
+    return args.scenario(args, out_dir)
 
 
 def _example_mixture(args, out_dir: Path) -> int:
-    xmax = 2000.0 if args.xmax is None else args.xmax
-    config = {"command": "example", "name": "mixture", "rate_x": args.rate_x,
-              "rate_z": args.rate_z, "t0": args.t0, "atoms": args.atoms,
-              "grid": args.grid, "xmax": xmax, "out": str(out_dir)}
-    _echo(config)
+    config = _echo({"command": "example", "name": "mixture", "rate_x": args.rate_x,
+                    "rate_z": args.rate_z, "t0": args.t0, "atoms": args.atoms,
+                    "grid": args.grid, "xmax": args.xmax, "out": str(out_dir)})
     plan = exponential_mixture_plan(args.rate_x, args.rate_z, args.t0, args.atoms)
     report = check_plan_causal(plan, tol=args.tol)
-    axis = np.linspace(0.0, xmax, args.grid)
+    axis = np.linspace(0.0, args.xmax, args.grid)
     rows = conditional_cdf_grid(plan, axis, axis)
     _write_csv("x,y,F", rows.T, out_dir / "mixture_grid.csv")
     _emit_json({"config": config, **report.to_dict()},
@@ -235,12 +235,10 @@ def exponential_mixture_plan(rate_x: float, rate_z: float, t0: float,
 
 
 def _example_brownian(args, out_dir: Path) -> int:
-    xmax = 20.0 if args.xmax is None else args.xmax
-    config = {"command": "example", "name": "brownian", "lower": args.lower,
-              "upper": args.upper, "xmax": xmax, "ymax": args.ymax,
-              "step": args.step, "out": str(out_dir)}
-    _echo(config)
-    xs = np.arange(0.0, xmax + 0.5 * args.step, args.step)
+    _echo({"command": "example", "name": "brownian", "lower": args.lower,
+           "upper": args.upper, "xmax": args.xmax, "ymax": args.ymax,
+           "step": args.step, "out": str(out_dir)})
+    xs = np.arange(0.0, args.xmax + 0.5 * args.step, args.step)
     ys = np.arange(0.0, args.ymax + 0.5 * args.step, args.step)
     rows = np.empty((xs.size * ys.size, 3))
     rows[:, 0] = np.repeat(xs, ys.size)
@@ -252,10 +250,9 @@ def _example_brownian(args, out_dir: Path) -> int:
 
 
 def _example_gamma_poisson(args, out_dir: Path) -> int:
-    config = {"command": "example", "name": "gamma-poisson", "shape": args.shape,
-              "increase": args.increase, "rate": args.rate, "atoms": args.atoms,
-              "out": str(out_dir)}
-    _echo(config)
+    config = _echo({"command": "example", "name": "gamma-poisson", "shape": args.shape,
+                    "increase": args.increase, "rate": args.rate, "atoms": args.atoms,
+                    "out": str(out_dir)})
     eta = discretize(Gamma(args.shape, args.rate), args.atoms)
     nu = discretize(Gamma(args.shape + args.increase, args.rate), args.atoms)
     result = solve_causal_transport(eta, nu, "abs")
@@ -322,26 +319,37 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_couple)
 
     p = subs.add_parser("example", help="ready-made scenarios")
-    p.add_argument("name", choices=["mixture", "brownian", "gamma-poisson"])
-    p.add_argument("--rate-x", type=float, default=0.01, help="mixture: rate of X")
-    p.add_argument("--rate-z", type=float, default=0.005, help="mixture: rate of Z")
-    p.add_argument("--t0", type=float, default=700.0, help="mixture: holding point")
-    p.add_argument("--atoms", type=int, default=200, help="grid atoms per law")
-    p.add_argument("--grid", type=int, default=200, help="mixture: grid nodes per axis")
-    p.add_argument("--xmax", type=float, default=None,
-                   help="grid extent (mixture: 2000, brownian: 20)")
-    p.add_argument("--lower", type=float, default=6.0, help="brownian: lower level")
-    p.add_argument("--upper", type=float, default=11.0, help="brownian: upper level")
-    p.add_argument("--ymax", type=float, default=50.0, help="brownian: y extent")
-    p.add_argument("--step", type=float, default=0.5, help="brownian: grid step")
-    p.add_argument("--shape", type=int, default=2, help="gamma-poisson: source shape")
-    p.add_argument("--increase", type=int, default=1,
-                   help="gamma-poisson: extra target shape")
-    p.add_argument("--rate", type=float, default=0.01, help="gamma-poisson: rate")
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="mixture: largest accepted causality deviation")
-    p.add_argument("--out", type=str, default=None, help="output directory")
     p.set_defaults(fn=_cmd_example)
+    scenarios = p.add_subparsers(dest="name", required=True)
+
+    p = scenarios.add_parser("mixture", help="causality check and conditional-CDF grid")
+    p.add_argument("--rate-x", type=float, default=0.01, help="rate of X")
+    p.add_argument("--rate-z", type=float, default=0.005, help="rate of Z")
+    p.add_argument("--t0", type=float, default=700.0, help="holding point")
+    p.add_argument("--atoms", type=int, default=200, help="grid atoms per law")
+    p.add_argument("--grid", type=int, default=200, help="grid nodes per axis")
+    p.add_argument("--xmax", type=float, default=2000.0, help="grid extent")
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="largest accepted causality deviation")
+    p.add_argument("--out", type=str, default=None, help="output directory")
+    p.set_defaults(scenario=_example_mixture)
+
+    p = scenarios.add_parser("brownian", help="passage-time conditional-CDF grid")
+    p.add_argument("--lower", type=float, default=6.0, help="lower level")
+    p.add_argument("--upper", type=float, default=11.0, help="upper level")
+    p.add_argument("--xmax", type=float, default=20.0, help="x extent")
+    p.add_argument("--ymax", type=float, default=50.0, help="y extent")
+    p.add_argument("--step", type=float, default=0.5, help="grid step")
+    p.add_argument("--out", type=str, default=None, help="output directory")
+    p.set_defaults(scenario=_example_brownian)
+
+    p = scenarios.add_parser("gamma-poisson", help="solve between Poisson jump times")
+    p.add_argument("--shape", type=int, default=2, help="source shape")
+    p.add_argument("--increase", type=int, default=1, help="extra target shape")
+    p.add_argument("--rate", type=float, default=0.01, help="rate")
+    p.add_argument("--atoms", type=int, default=200, help="grid atoms per law")
+    p.add_argument("--out", type=str, default=None, help="output directory")
+    p.set_defaults(scenario=_example_gamma_poisson)
     return parser
 
 

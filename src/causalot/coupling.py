@@ -185,10 +185,9 @@ def verify_axioms(sample: CouplingSample, t_grid=None, cell_count: int = 4,
         b_idx = np.searchsorted(b_edges, x_c, side="right")
         n_a = a_edges.size + 1
         n_b = b_edges.size + 1
-        joint = np.zeros((n_a, n_b))
         valid = a_idx >= 0
-        np.add.at(joint, (a_idx[valid], b_idx[valid]), 1.0)
-        joint /= n_t
+        joint = np.bincount(a_idx[valid] * n_b + b_idx[valid],
+                            minlength=n_a * n_b).reshape(n_a, n_b) / n_t
         p_a = joint.sum(axis=1)
         p_b = np.bincount(b_idx, minlength=n_b) / n_t
         dev = np.abs(joint - p_a[:, None] * p_b[None, :])

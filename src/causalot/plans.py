@@ -57,8 +57,8 @@ class TransportPlan:
     def conditional_cdf_matrix(self) -> np.ndarray:
         """Matrix F with F[i, j] = P(Y <= y_j | X = x_i)."""
         if self._cond_cdf is None:
-            cum = np.cumsum(self.mass, axis=1)
-            self._cond_cdf = cum / self.source.weights[:, None]
+            self._cond_cdf = np.cumsum(self.mass, axis=1)
+            self._cond_cdf /= self.source.weights[:, None]
         return self._cond_cdf
 
     def cost(self, costfn) -> float:
@@ -218,9 +218,9 @@ def conditional_cdf_grid(plan: TransportPlan, xs, ys) -> np.ndarray:
     mids = 0.5 * (sup[:-1] + sup[1:])
     rows = np.searchsorted(mids, xs)
     cols = np.searchsorted(plan.target.support, ys, side="right")
-    cdf = plan.conditional_cdf_matrix()
-    padded = np.concatenate([np.zeros((plan.n, 1)), cdf], axis=1)
-    values = padded[np.ix_(rows, cols)]
+    # Column c - 1 holds F at the largest target atom <= y; below them all F is 0.
+    values = plan.conditional_cdf_matrix()[np.ix_(rows, cols - 1)]
+    values[:, cols == 0] = 0.0
     out = np.empty((xs.size * ys.size, 3))
     out[:, 0] = np.repeat(xs, ys.size)
     out[:, 1] = np.tile(ys, xs.size)

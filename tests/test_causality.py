@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from causalot.causality import (check_cyclical_monotonicity, check_map_causal,
                                 check_plan_causal)
+from causalot.cli import exponential_mixture_plan
 from causalot.measures import (DiscreteMeasure, Exponential, Gaussian,
                                discretize)
 from causalot.plans import (TransportPlan, deterministic_plan, mix_plans,
@@ -95,6 +96,19 @@ class TestAnchorConventions:
     @given(plans(), st.sampled_from([0.0, 1e-9, 0.2]))
     def test_matches_brute_force(self, plan, tol):
         assert check_plan_causal(plan, tol=tol).to_dict() == brute_force_report(plan, tol)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 0.2])
+    @pytest.mark.parametrize("reversed_weight", [0.0, 0.5])
+    def test_matches_brute_force_on_mixtures(self, tol, reversed_weight):
+        # 12 x 154 atoms; mixing in the order-reversing map makes violations
+        # in many columns, and at tol 0 rounding noise adds more.
+        plan = exponential_mixture_plan(0.01, 0.02, 700.0, 12)
+        if reversed_weight:
+            flipped = deterministic_plan(plan.source, plan.source.support[::-1])
+            plan = mix_plans([(1.0 - reversed_weight, plan), (reversed_weight, flipped)])
+        expected = brute_force_report(plan, tol)
+        assert expected["violations"] or not reversed_weight
+        assert check_plan_causal(plan, tol=tol).to_dict() == expected
 
 
 class TestCheckPlanCausal:

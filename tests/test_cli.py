@@ -331,12 +331,38 @@ class TestParsing:
         ["couple", "--tol", "0.1"],
         ["example", "mixture", "--seed", "1"],
         ["example", "gamma-poisson", "--maxiter", "10"],
+        ["example", "brownian", "--atoms", "5"],
+        ["example", "brownian", "--rate", "9"],
+        ["example", "gamma-poisson", "--tol", "0.1"],
+        ["example", "gamma-poisson", "--xmax", "5"],
+        ["example", "mixture", "--step", "1"],
     ])
     def test_flags_only_where_read(self, argv, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error: unrecognized arguments")
         assert argv[-2] in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+@pytest.mark.parametrize("argv, key, echoed", [
+    (["discretize", "{spec}", "--scheme", "uniform", "--lo", "nan", "--hi", "3"],
+     "lo", "nan"),
+    (["check", "--plan", "{spec}", "--tol", "nan"], "tol", "nan"),
+    (["couple", "--x", "exp:1", "--tau", "inf", "--z", "exp:1", "--n", "50",
+      "--confidence=-inf", "--out", "{dir}/s.csv"], "confidence", "-inf"),
+    (["example", "brownian", "--lower", "nan", "--out", "{dir}"], "lower", "nan"),
+])
+def test_non_finite_flags_echo_strict_json(tmp_path, capsys, argv, key, echoed):
+    spec = write(tmp_path / "exp.json", {"family": "exponential", "rate": 1.0})
+    argv = [a.format(spec=spec, dir=tmp_path) for a in argv]
+    assert main(argv) == 1  # each run fails after its echo
+    echo = capsys.readouterr().out.splitlines()[0]
+    config = json.loads(echo, parse_constant=_reject_constant)["config"]
+    assert config[key] == echoed
 
 
 def test_console_script_runs(tmp_path):

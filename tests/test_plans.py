@@ -272,6 +272,5 @@ class TestConditionalCdfGrid:
 
     def test_off_grid_x_uses_nearest_atom(self):
         plan = two_by_two()
-        rows = conditional_cdf_grid(plan, [0.2, 0.8], [2.0])
-        assert rows[0, 2] == pytest.approx(0.75)
-        assert rows[1, 2] == pytest.approx(1.0 / 3.0)
+        rows = conditional_cdf_grid(plan, [-5.0, 0.2, 0.8, 7.0], [2.0])
+        assert_allclose(rows[:, 2], [0.75, 0.75, 1.0 / 3.0, 1.0 / 3.0])
