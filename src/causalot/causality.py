@@ -54,6 +54,13 @@ def anchor_rows(source: DiscreteMeasure, target: DiscreteMeasure) -> np.ndarray:
     return np.searchsorted(source.support, target.support, side="right")
 
 
+def _check_tolerance(tol: float) -> None:
+    if not tol >= 0:  # NaN fails too
+        raise ValueError("tolerance must be nonnegative")
+    if tol == np.inf:  # a report echoes its tolerance, and JSON has no infinity
+        raise ValueError("tolerance must be finite")
+
+
 def check_plan_causal(plan: TransportPlan, tol: float = DEFAULT_PLAN_TOL) -> CausalityReport:
     """Largest disagreement of conditional CDFs against each column's anchor row.
 
@@ -64,8 +71,7 @@ def check_plan_causal(plan: TransportPlan, tol: float = DEFAULT_PLAN_TOL) -> Cau
     each with its anchor cell, so the violations come out in (j, then k)
     order.  Columns with fewer than two such rows constrain no cell.
     """
-    if not tol >= 0:  # NaN fails too
-        raise ValueError("tolerance must be nonnegative")
+    _check_tolerance(tol)
     cdf = plan.conditional_cdf_matrix()
     anchors = anchor_rows(plan.source, plan.target)
     cols, rows = np.nonzero(np.arange(plan.n) > anchors[:, None])
@@ -108,8 +114,7 @@ def check_map_causal(measure: DiscreteMeasure, values,
     values = np.asarray(values, dtype=float)
     if values.shape != (measure.n,):
         raise ValueError("need one map value per atom")
-    if not tol >= 0:  # NaN fails too
-        raise ValueError("tolerance must be nonnegative")
+    _check_tolerance(tol)
     xs = measure.support
     ws = measure.weights
     below_mass = float(ws[values < xs].sum())

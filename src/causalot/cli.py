@@ -183,8 +183,9 @@ def _cmd_couple(args) -> int:
                                          z=parse_family_token(args.z),
                                          samples=args.n, seed=args.seed)
         sample = coupling_mod.simulate(spec)
-    _write_csv("X,tau,Z,Y", (sample.x, sample.tau, sample.z, sample.y), args.out)
+    # The audit reads --confidence, so a bad value stops the run before any output.
     report = coupling_mod.verify_axioms(sample, confidence=args.confidence)
+    _write_csv("X,tau,Z,Y", (sample.x, sample.tau, sample.z, sample.y), args.out)
     report_path = args.report
     if report_path is None and args.out is not None:
         report_path = str(Path(args.out).with_suffix(".report.json"))
@@ -213,6 +214,8 @@ def _example_mixture(args, out_dir: Path) -> int:
     config = _echo({"command": "example", "name": "mixture", "rate_x": args.rate_x,
                     "rate_z": args.rate_z, "t0": args.t0, "atoms": args.atoms,
                     "grid": args.grid, "xmax": args.xmax, "out": str(out_dir)})
+    if not np.isfinite(args.xmax):
+        raise ValueError("--xmax must be finite")
     plan = exponential_mixture_plan(args.rate_x, args.rate_z, args.t0, args.atoms)
     report = check_plan_causal(plan, tol=args.tol)
     axis = np.linspace(0.0, args.xmax, args.grid)
@@ -238,6 +241,10 @@ def _example_brownian(args, out_dir: Path) -> int:
     _echo({"command": "example", "name": "brownian", "lower": args.lower,
            "upper": args.upper, "xmax": args.xmax, "ymax": args.ymax,
            "step": args.step, "out": str(out_dir)})
+    if not 0 < args.step < np.inf:
+        raise ValueError("--step must be positive and finite")
+    if not (0 <= args.xmax < np.inf and 0 <= args.ymax < np.inf):
+        raise ValueError("--xmax and --ymax must be finite and nonnegative")
     xs = np.arange(0.0, args.xmax + 0.5 * args.step, args.step)
     ys = np.arange(0.0, args.ymax + 0.5 * args.step, args.step)
     rows = np.empty((xs.size * ys.size, 3))
@@ -253,6 +260,8 @@ def _example_gamma_poisson(args, out_dir: Path) -> int:
     config = _echo({"command": "example", "name": "gamma-poisson", "shape": args.shape,
                     "increase": args.increase, "rate": args.rate, "atoms": args.atoms,
                     "out": str(out_dir)})
+    if args.increase < 1:
+        raise ValueError("--increase must be at least 1")
     eta = discretize(Gamma(args.shape, args.rate), args.atoms)
     nu = discretize(Gamma(args.shape + args.increase, args.rate), args.atoms)
     result = solve_causal_transport(eta, nu, "abs")

@@ -121,8 +121,8 @@ class Exponential:
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError("rate must be positive")
+        if not 0 < self.rate < np.inf:
+            raise ValueError("rate must be positive and finite")
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -150,8 +150,8 @@ class Gamma:
     def __post_init__(self):
         if not (isinstance(self.shape, (int, np.integer)) and self.shape >= 1):
             raise ValueError("shape must be a positive integer")
-        if not self.rate > 0:
-            raise ValueError("rate must be positive")
+        if not 0 < self.rate < np.inf:
+            raise ValueError("rate must be positive and finite")
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -339,6 +339,8 @@ def discretize(spec: Family, n: int, scheme: str = "quantile", *, lo: float | No
     if scheme == "uniform":
         if lo is None or hi is None:
             raise ValueError("uniform scheme needs lo and hi")
+        if not np.isfinite([lo, hi]).all():
+            raise ValueError("the window [lo, hi] must be finite")
         if not lo < hi:
             raise ValueError("lo must be strictly below hi")
         edges = np.linspace(lo, hi, n + 1)

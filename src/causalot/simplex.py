@@ -3,20 +3,20 @@
 Solves  min c'x  subject to  A x = b, x >= 0  on a full tableau.  Phase 1
 starts from an all-artificial basis but never materializes the artificial
 columns; both objective rows ride along in the tableau so phase 2 can
-continue in place.  Every row is first scaled to a largest coefficient
-of 1, so the absolute pivot thresholds also hold on a row whose
-coefficients are all tiny, such as the marginal of a light atom.  A
+continue in place.  The pivot thresholds are absolute: they assume rows
+whose largest coefficient is about 1, as the causal LP poses them.  A
 caller that knows a feasible vertex passes it as ``start``: crash pivots
 move its support into the basis, one per column, and phase 1 begins
 there; a start that yields no feasible basis is dropped.  Artificials
-left in the basis after phase 1 are driven out by the admissible column
-with the most negative phase-2 reduced cost, the one phase 2 would
-price first.  Pricing is Dantzig's most-negative rule
-with a switch to Bland's rule after a run of degenerate pivots, which
-guarantees termination.  Pricing and the ratio test share the fixed
-tolerance ``_PIVOT_TOL``.  The reported solution is recomputed from the
-final basis by a fresh factorization, so residuals do not inherit pivot
-drift.
+left in the basis after phase 1 are driven out by a dual ratio test:
+the admissible column with the least ratio of phase-2 reduced cost,
+floored at 0, to pivot entry enters, the last on ties.  It keeps
+nonnegative reduced costs so, and no column scaling moves it.  Pricing
+is Dantzig's most-negative rule with a switch to Bland's rule after a
+run of degenerate pivots, which guarantees termination.  Pricing and the
+primal ratio test share the fixed tolerance ``_PIVOT_TOL``.  The
+reported solution is recomputed from the final basis by a fresh
+factorization, so residuals do not inherit pivot drift.
 """
 from __future__ import annotations
 
@@ -67,12 +67,6 @@ def solve_standard_form(A, b, c, *, start=None,
     flip = b < 0
     A[flip] *= -1.0
     b[flip] *= -1.0
-    # Row scaling leaves x unchanged; the duals are divided by the scale
-    # on the way out.
-    scale = np.abs(A).max(axis=1, initial=0.0)
-    scale[scale == 0.0] = 1.0
-    A /= scale[:, None]
-    b /= scale
 
     # Tableau layout: rows 0..rows-1 hold B^-1 [A | b]; row `rows` is the
     # phase-1 objective, row rows+1 the phase-2 objective.
@@ -188,13 +182,14 @@ def solve_standard_form(A, b, c, *, start=None,
         return SimplexSolution("infeasible", iterations)
 
     # Drive leftover artificials out of the basis or retire their rows.  The
-    # entering column is the admissible one phase 2 would price first.
+    # entering column passes the dual ratio test; ties go to the last one.
     for i in range(rows):
         if basis[i] != _ARTIFICIAL:
             continue
         options = np.flatnonzero((np.abs(tab[i, :cols]) > 1e-7) & ~in_basis)
         if options.size:
-            col = int(options[np.argmin(tab[rows + 1, options])])
+            ratio = np.maximum(tab[rows + 1, options], 0.0) / np.abs(tab[i, options])
+            col = int(options[np.flatnonzero(ratio == ratio.min())[-1]])
             basis[i] = col
             in_basis[col] = True
             pivot(i, col)
@@ -225,11 +220,11 @@ def solve_standard_form(A, b, c, *, start=None,
             x[basis[r]] = tab[r, cols]
     np.maximum(x, 0.0, out=x)
     objective = float(c @ x)
-    residual = float(np.abs((A @ x - b) * scale).max())
+    residual = float(np.abs(A @ x - b).max())
     if duals is not None:
         reduced = c - A.T @ duals
         gap = abs(objective - float(b @ duals))
-        duals = np.where(flip, -duals, duals) / scale
+        duals = np.where(flip, -duals, duals)
     else:
         reduced, gap = None, None
     return SimplexSolution("optimal", iterations, x, objective, duals, reduced,

@@ -3,8 +3,9 @@
 A causal plan on the real line has an explicit form: every source atom
 x_k strictly above a target atom y_j puts the same conditional mass q_j
 on it, so those plan entries are w_k * q_j.  The LP is posed in that
-reduced form.  Its variables are q and the plan entries with x_k <= y_j;
-its rows are the marginals alone, and causality holds by substitution.
+reduced form.  Its variables are the pool masses p_j = W_j q_j, W_j the
+weight of the atoms above y_j, and the plan entries with x_k <= y_j; its
+rows are the marginals alone, and causality holds by substitution.
 The LP view of causal transport follows Backhoff, Beiglboeck, Lin and
 Zalashko, "Causal transport in discrete time and applications" (SIAM J.
 Optim. 2017).  The LP is solved by the dense two-phase simplex in
@@ -32,18 +33,22 @@ class LpProblem:
     """Reduced equality-form LP data for one causal transport instance.
 
     ``shared[k, j]`` marks the plan entries with x_k > y_j, which equal
-    w_k * q_j.  The variables are q_j for the J target atoms that some
-    source atom lies strictly above (a prefix, as supports are sorted),
-    then the unshared plan entries in row-major order.  The rows are the
-    n source marginals and the target marginals but the last, which is
-    redundant.  ``plan_mass`` and ``variables`` translate between LP
-    vectors and plan masses; ``corner`` is the simplex's starting vertex.
+    w_k * q_j.  The variables are p_j = W_j q_j, W_j = ``pool[j]``, for
+    the J target atoms that some source atom lies strictly above (a
+    prefix, as supports are sorted), then the unshared plan entries in
+    row-major order.  Column p_j has w_k / W_j on the pool's source rows,
+    1 on target row j and the pool's mean cost as objective, whatever the
+    pool weighs.  The rows are the n source marginals and the target
+    marginals but the last, which is redundant.  ``plan_mass`` and
+    ``variables`` translate between LP vectors and plan masses;
+    ``corner`` is the simplex's starting vertex.
     """
 
     source: DiscreteMeasure
     target: DiscreteMeasure
     cost_matrix: np.ndarray
     shared: np.ndarray
+    pool: np.ndarray
     matrix: np.ndarray
     rhs: np.ndarray
     objective: np.ndarray
@@ -58,18 +63,18 @@ class LpProblem:
 
     def plan_mass(self, x) -> np.ndarray:
         """The (n, m) plan mass of an LP vector."""
-        n_q = int(self.shared[-1].sum())
+        n_q = self.pool.size
         mass = np.zeros(self.shared.shape)
-        mass[:, :n_q] = np.outer(self.source.weights, x[:n_q])
+        mass[:, :n_q] = np.outer(self.source.weights, x[:n_q] / self.pool)
         mass[~self.shared] = x[n_q:]
         return mass
 
     def variables(self, mass) -> np.ndarray:
-        """The LP vector of a plan mass; q comes from the last source row."""
+        """The LP vector of a plan mass; p = W q, q from the last source row."""
         mass = np.asarray(mass, dtype=float).reshape(self.shared.shape)
-        n_q = int(self.shared[-1].sum())
+        n_q = self.pool.size
         q = mass[-1, :n_q] / self.source.weights[-1]
-        return np.concatenate([q, mass[~self.shared]])
+        return np.concatenate([self.pool * q, mass[~self.shared]])
 
     def corner(self) -> np.ndarray:
         """The LP vector of the causal north-west corner, a vertex of the LP.
@@ -78,15 +83,13 @@ class LpProblem:
         target j once x_k <= y_j; until then it sends w_k q_j like every
         atom above y_j, so it arrives with w_k (1 - Q), Q the q mass so far.
         Each target takes what it can from the revealed atoms in north-west
-        order and the rest from the unrevealed pool through one q_j.
+        order, and the unrevealed pool sends the rest as p_j.
         """
         w, v = self.source.weights, self.target.weights
-        n_q = int(self.shared[-1].sum())
         revealed = anchor_rows(self.source, self.target)
-        pool = np.cumsum(w[::-1])[::-1]  # pool[a]: weight of the atoms from a up
         mass = np.zeros(self.shared.shape)
         left = np.zeros_like(w)
-        q = np.zeros(n_q)
+        p = np.zeros_like(self.pool)
         total_q = 0.0
         k = seen = 0
         for j, a in enumerate(revealed):
@@ -100,10 +103,10 @@ class LpProblem:
                 need -= take
                 if left[k] <= 0.0:
                     k += 1
-            if j < n_q:
-                q[j] = need / pool[a]
-                total_q += q[j]
-        return np.concatenate([q, mass[~self.shared]])
+            if j < p.size:
+                p[j] = need
+                total_q += need / self.pool[j]
+        return np.concatenate([p, mass[~self.shared]])
 
 
 def build_causal_lp(source: DiscreteMeasure, target: DiscreteMeasure, costfn) -> LpProblem:
@@ -115,16 +118,17 @@ def build_causal_lp(source: DiscreteMeasure, target: DiscreteMeasure, costfn) ->
     free_k, free_j = np.nonzero(~shared)
     free = n_q + np.arange(free_k.size)
     A = np.zeros((n + m - 1, n_q + free.size))
-    A[:n, :n_q] = w[:, None] * shared[:, :n_q]
+    pool = (w @ shared)[:n_q]
+    A[:n, :n_q] = w[:, None] * shared[:, :n_q] / pool
     kept = np.arange(min(n_q, m - 1))
-    A[n + kept, kept] = (w @ shared)[kept]
+    A[n + kept, kept] = 1.0
     A[free_k, free] = 1.0
     to_kept = free_j < m - 1
     A[n + free_j[to_kept], free[to_kept]] = 1.0
     rhs = np.concatenate([w, target.weights[:-1]])
-    objective = np.concatenate([(w @ (shared * cost))[:n_q], cost[~shared]])
+    objective = np.concatenate([(w @ (shared * cost))[:n_q] / pool, cost[~shared]])
     return LpProblem(source=source, target=target, cost_matrix=cost, shared=shared,
-                     matrix=A, rhs=rhs, objective=objective)
+                     pool=pool, matrix=A, rhs=rhs, objective=objective)
 
 
 @dataclass

@@ -159,6 +159,12 @@ class TestCheckPlanCausal:
         with pytest.raises(ValueError, match="tolerance"):
             check_plan_causal(product_plan(eta, eta), tol=float("nan"))
 
+    def test_rejects_infinite_tolerance(self):
+        # The report echoes its tolerance, and strict JSON has no Infinity.
+        eta = uniform_on([0.0, 1.0])
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            check_plan_causal(product_plan(eta, eta), tol=float("inf"))
+
 
 class TestCheckMapCausal:
     def test_shift_up_is_above_diagonal(self):
@@ -197,6 +203,10 @@ class TestCheckMapCausal:
     def test_rejects_bad_tolerance(self, tol):
         with pytest.raises(ValueError, match="tolerance"):
             check_map_causal(uniform_on([0.0, 1.0]), [0.5, 1.5], tol=tol)
+
+    def test_rejects_infinite_tolerance(self):
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            check_map_causal(uniform_on([0.0, 1.0]), [0.5, 1.5], tol=float("inf"))
 
     def test_agrees_with_plan_check_on_random_maps(self):
         rng = np.random.default_rng(42)

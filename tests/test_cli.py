@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ import causalot.solver as solver_module
 from causalot.cli import _write_csv, main, parse_family_token
 from causalot.measures import (Exponential, Gamma, Gaussian, LevyFirstPassage,
                                Uniform)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write(path, obj):
@@ -365,9 +369,49 @@ def test_non_finite_flags_echo_strict_json(tmp_path, capsys, argv, key, echoed):
     assert config[key] == echoed
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, message", [
+    (["example", "brownian", "--step", "0", "--out", "{out}"], "--step"),
+    (["example", "brownian", "--step", "-1", "--out", "{out}"], "--step"),
+    (["example", "brownian", "--ymax", "inf", "--out", "{out}"], "--ymax"),
+    (["example", "gamma-poisson", "--increase", "0", "--atoms", "5", "--out", "{out}"],
+     "--increase must be at least 1"),
+    (["example", "gamma-poisson", "--rate", "inf", "--atoms", "5", "--out", "{out}"],
+     "rate must be positive and finite"),
+    (["example", "mixture", "--xmax", "inf", "--atoms", "5", "--grid", "3",
+      "--out", "{out}"], "--xmax must be finite"),
+    (["discretize", "{spec}", "--scheme", "uniform", "--lo", "0", "--hi", "inf",
+      "--out", "{out}/m.json"], "the window [lo, hi] must be finite"),
+    (["couple", "--x", "exp:1", "--tau", "exp:1", "--z", "dirac:0.5", "--n", "100",
+      "--confidence", "1.5", "--out", "{out}/s.csv"], "confidence must be in (0, 1)"),
+    (["check", "--plan", "{plan}", "--tol", "inf", "--out", "{out}/r.json"],
+     "tolerance must be finite"),
+])
+def test_bad_extents_are_one_error_line(tmp_path, capsys, argv, message):
+    # Each value is rejected where it is read, before any output file is written.
+    spec = write(tmp_path / "exp.json", {"family": "exponential", "rate": 1.0})
+    plan = write(tmp_path / "plan.json", {
+        "source": {"support": [0.0, 1.0], "weights": [0.5, 0.5]},
+        "target": {"support": [3.0], "weights": [1.0]},
+        "mass": [[0.5], [0.5]],
+    })
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [a.format(spec=spec, plan=plan, out=out) for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(("error: ", "usage error: "))
+    assert err.count("\n") == 1
+    assert message in err
+    assert not any(p.is_file() for p in out.rglob("*"))
+
+
 def test_console_script_runs(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "causalot", "example",
                            "brownian", "--step", "5", "--out", str(tmp_path)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert '"config"' in proc.stdout

@@ -113,6 +113,12 @@ class TestDiscreteMeasure:
 
 
 class TestFamilies:
+    @pytest.mark.parametrize("family", [Exponential, lambda rate: Gamma(2, rate)])
+    @pytest.mark.parametrize("rate", [0.0, np.inf, np.nan])
+    def test_rate_must_be_positive_and_finite(self, family, rate):
+        with pytest.raises(ValueError, match="rate must be positive and finite"):
+            family(rate)
+
     def test_exponential_quantiles(self):
         e = Exponential(1.0)
         assert e.quantile(0.25) == pytest.approx(EXP_Q25, abs=1e-15)
@@ -224,6 +230,13 @@ class TestDiscretize:
     def test_uniform_scheme_rejects_empty_window(self):
         with pytest.raises(ValueError, match="mass"):
             discretize(Uniform(0.0, 1.0), 4, "uniform", lo=5.0, hi=6.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lo, hi", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)])
+    def test_uniform_scheme_rejects_non_finite_window(self, lo, hi):
+        # np.linspace over an infinite window warns and gives nan edges.
+        with pytest.raises(ValueError, match="must be finite"):
+            discretize(Exponential(1.0), 4, "uniform", lo=lo, hi=hi)
 
     def test_mean_error_shrinks(self):
         e = Exponential(1.0)

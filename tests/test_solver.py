@@ -87,11 +87,13 @@ class TestBuildCausalLp:
         problem = build_causal_lp(uniform_on([0.0, 1.0, 2.0]),
                                   uniform_on([0.5, 10.0]), "abs")
         assert problem.n_rows == 4
-        # q for the target 0.5, then the four entries with x_k <= y_j
+        # p for the target 0.5, then the four entries with x_k <= y_j.  The
+        # pool above 0.5 weighs 2/3: each of its atoms carries half of p.
         assert problem.n_vars == 5
-        assert_allclose(problem.matrix[:3, 0], [0.0, 1 / 3, 1 / 3])
-        assert problem.matrix[3, 0] == pytest.approx(2 / 3)
-        assert problem.objective[0] == pytest.approx((0.5 + 1.5) / 3)
+        assert_allclose(problem.pool, [2 / 3])
+        assert_allclose(problem.matrix[:3, 0], [0.0, 1 / 2, 1 / 2])
+        assert problem.matrix[3, 0] == 1.0
+        assert problem.objective[0] == pytest.approx((0.5 + 1.5) / 2)
 
     def test_last_target_row_dropped(self):
         problem = build_causal_lp(uniform_on([0.0, 1.0]), uniform_on([-3.0, -2.0]), "abs")
@@ -180,10 +182,25 @@ def tiny_weight_instances(draw):
     return shrink(eta), shrink(nu), cost
 
 
+@st.composite
+def light_monge_instances(draw):
+    """``instances()`` under abs or square, with weights log-uniform down to 1e-13."""
+    eta, nu, _ = draw(instances())
+
+    def lighten(measure):
+        exponents = draw(st.lists(st.floats(-13.0, 0.0), min_size=measure.n,
+                                  max_size=measure.n))
+        weights = 10.0 ** np.asarray(exponents)
+        return DiscreteMeasure(measure.support, weights / weights.sum())
+
+    return lighten(eta), lighten(nu), draw(st.sampled_from(["abs", "square"]))
+
+
 class TestTinyWeights:
     def test_atom_above_every_target(self):
         # The atom at 5 shares every column, so its LP row holds only its
-        # weight; unscaled, that row fell below the pivot thresholds.
+        # shares w_k / W_j of the pools; a row that held its weight 1e-8
+        # alone would fall below the pivot thresholds.
         eta = DiscreteMeasure([0.0, 1.0, 5.0], [(1 - 1e-8) / 2, (1 - 1e-8) / 2, 1e-8])
         nu = DiscreteMeasure([0.5, 2.0], [0.5, 0.5])
         result = solve_causal_transport(eta, nu, "abs")
@@ -207,15 +224,49 @@ class TestTinyWeights:
         assert result.value == pytest.approx(anchor_row_value(eta, nu, cost),
                                              abs=1e-9, rel=0)
 
-    def test_failed_crash_falls_back_to_cold(self):
-        # Crashing the corner's support meets the 1e-7 pivot floor on these
-        # weights, so the simplex drops the start and reruns cold.
+    def test_light_pool_solves_warm(self):
+        # The pool above 4 weighs 1e-8.  A column in q units would carry
+        # entries of 1e-8, under the 1e-7 crash floor, and the simplex would
+        # drop the corner; in pool-mass units it crashes in, one pivot per row.
         eta = DiscreteMeasure([3.5, 7.0], [1 - 1e-8, 1e-8])
         nu = DiscreteMeasure([4.0, 6.0], [1 - 1e-10, 1e-10])
+        problem = build_causal_lp(eta, nu, "abs")
         result = solve_causal_transport(eta, nu, "abs")
-        assert verify_optimality(build_causal_lp(eta, nu, "abs"), result).ok
+        assert verify_optimality(problem, result).ok
+        assert result.iterations == problem.n_rows
         assert result.value == pytest.approx(0.5 * (1 - 1e-8) + 0.99 * 3e-8 + 1e-10,
                                              abs=1e-12, rel=0)
+
+    def test_light_atom_above_a_heavy_target(self):
+        # The atom at 8 alone sits above the target 7.5, so its pool weighs
+        # 5e-10: a column in q units would sit under the pivot tolerance, and
+        # the solve would report "LP is unbounded below".
+        eta = DiscreteMeasure([0.0, 8.0], [1 - 5e-10, 5e-10])
+        nu = DiscreteMeasure([7.5, 8.0], [0.9994, 0.0006])
+        cost = np.array([[4.0, 2.0], [8.0, 9.0]])
+        result = solve_causal_transport(eta, nu, cost)
+        assert verify_optimality(build_causal_lp(eta, nu, cost), result).ok
+        assert result.value == pytest.approx(3.9988000019999994, abs=1e-12, rel=0)
+
+    def test_uniform_window_matches_classic(self):
+        # On one shared window grid the tail atoms weigh down to 1e-16, and
+        # the identity pairing is causal, so the value is the classic one.
+        eta = discretize(Gamma(3, 0.01), 60, "uniform", lo=0.0, hi=4000.0)
+        nu = discretize(Gamma(2, 0.01), 60, "uniform", lo=0.0, hi=4000.0)
+        problem = build_causal_lp(eta, nu, "abs")
+        result = solve_causal_transport(eta, nu, "abs")
+        assert result.iterations == problem.n_rows
+        assert result.value == pytest.approx(classic_ot_1d(eta, nu)[0], abs=1e-9, rel=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(light_monge_instances())
+    def test_monge_corner_takes_one_pivot_per_row(self, instance):
+        # abs and square are Monge costs, on which the corner has always been
+        # optimal: every pivot crashes a corner column or drives out an
+        # artificial, and phase 2 makes none.
+        eta, nu, cost = instance
+        result = solve_causal_transport(eta, nu, cost)
+        assert result.iterations <= eta.n + nu.n - 1
 
     @settings(max_examples=300, deadline=None)
     @given(tiny_weight_instances())
