@@ -114,6 +114,8 @@ def check_map_causal(measure: DiscreteMeasure, values,
     values = np.asarray(values, dtype=float)
     if values.shape != (measure.n,):
         raise ValueError("need one map value per atom")
+    if not np.isfinite(values).all():
+        raise ValueError("map values must be finite")
     _check_tolerance(tol)
     xs = measure.support
     ws = measure.weights

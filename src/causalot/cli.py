@@ -49,7 +49,8 @@ def _load_json(path: str):
 
 
 def _emit_json(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
+    """Write ``obj`` as strict JSON; a non-finite value raises before anything is written."""
+    text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -138,7 +139,8 @@ def _map_values(data: dict, measure: DiscreteMeasure) -> np.ndarray:
         values = np.full(measure.n, float(data["constant"]))
     elif "affine" in data:
         a, b = (float(v) for v in data["affine"])
-        values = a * measure.support + b
+        with np.errstate(over="ignore", invalid="ignore"):  # check_map_causal rejects the result
+            values = a * measure.support + b
     else:
         raise ValueError("a map file needs 'values', 'constant', or 'affine'")
     return values

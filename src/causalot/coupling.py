@@ -140,8 +140,14 @@ class AxiomReport:
             "max_deviation": self.max_deviation,
             "confidence": self.confidence,
             "skipped": self.skipped,
-            "cells": [vars(c) for c in self.cells],
+            "cells": [{key: _strict(value) for key, value in vars(c).items()}
+                      for c in self.cells],
         }
+
+
+def _strict(value: float):
+    """``value``, or "inf", "-inf" or "nan" when it is not finite, so JSON stays strict."""
+    return value if np.isfinite(value) else str(value)
 
 
 def verify_axioms(sample: CouplingSample, t_grid=None, cell_count: int = 4,

@@ -3,8 +3,12 @@
 Solves  min c'x  subject to  A x = b, x >= 0  on a full tableau.  Phase 1
 starts from an all-artificial basis but never materializes the artificial
 columns; both objective rows ride along in the tableau so phase 2 can
-continue in place.  The pivot thresholds are absolute: they assume rows
-whose largest coefficient is about 1, as the causal LP poses them.  A
+continue in place.  The caller's A and b are read, never copied or
+written: rows with b < 0 enter the tableau negated, so the artificial
+basis is feasible, and the final basis is solved against the caller's
+own rows, so the duals come out in the caller's signs.  The pivot
+thresholds are absolute: they assume rows whose largest coefficient is
+about 1, as the causal LP poses them.  A
 caller that knows a feasible vertex passes it as ``start``: crash pivots
 move its support into the basis, one per column, and phase 1 begins
 there; a start that yields no feasible basis is dropped.  Artificials
@@ -54,8 +58,8 @@ def solve_standard_form(A, b, c, *, start=None,
     infeasibility to zero.  ``iterations`` counts every pivot of the
     reported solve, crash pivots included, against ``max_iterations``.
     """
-    A = np.array(A, dtype=float)
-    b = np.array(b, dtype=float)
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
     c = np.ascontiguousarray(c, dtype=float)
     if A.ndim != 2 or b.shape != (A.shape[0],) or c.shape != (A.shape[1],):
         raise ValueError("inconsistent LP dimensions")
@@ -65,11 +69,10 @@ def solve_standard_form(A, b, c, *, start=None,
             raise ValueError("start has the wrong length")
     rows, cols = A.shape
     flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
 
-    # Tableau layout: rows 0..rows-1 hold B^-1 [A | b]; row `rows` is the
-    # phase-1 objective, row rows+1 the phase-2 objective.
+    # Tableau layout: rows 0..rows-1 hold B^-1 [A | b], each row with b < 0
+    # negated; row `rows` is the phase-1 objective, row rows+1 the phase-2
+    # objective.
     tab = np.empty((rows + 2, cols + 1), order="F")
     basis = np.empty(rows, dtype=int)
     in_basis = np.empty(cols, dtype=bool)
@@ -84,7 +87,10 @@ def solve_standard_form(A, b, c, *, start=None,
         tab[:rows, :cols] = A
         tab[:rows, cols] = b
         tab[rows, :cols] = -A.sum(axis=0)
-        tab[rows, cols] = -b.sum()
+        if flip.any():  # the phase-1 row sums the rows as signed
+            tab[:rows][flip] *= -1.0
+            tab[rows, :cols] += 2.0 * (flip @ A)
+        tab[rows, cols] = -tab[:rows, cols].sum()
         tab[rows + 1, :cols] = c
         tab[rows + 1, cols] = 0.0
         basis.fill(_ARTIFICIAL)
@@ -200,7 +206,7 @@ def solve_standard_form(A, b, c, *, start=None,
     if status == "iteration-limit":
         return SimplexSolution("iteration-limit", iterations)
 
-    # Recompute everything from the final basis against the original data.
+    # Recompute everything from the final basis against the caller's rows.
     act = np.flatnonzero(active)
     basic_cols = basis[act]
     B = A[np.ix_(act, basic_cols)]
@@ -224,7 +230,6 @@ def solve_standard_form(A, b, c, *, start=None,
     if duals is not None:
         reduced = c - A.T @ duals
         gap = abs(objective - float(b @ duals))
-        duals = np.where(flip, -duals, duals)
     else:
         reduced, gap = None, None
     return SimplexSolution("optimal", iterations, x, objective, duals, reduced,

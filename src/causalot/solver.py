@@ -14,6 +14,11 @@ Optim. 2017).  The LP is solved by the dense two-phase simplex in
 form gives at no cost, so the solve takes no settings.
 :func:`solve_causal_transport` reports an optimum only after LP duality
 certifies it from the reported duals and the plan passes the causality check.
+:func:`certify` reads the duals as potentials, u on the source atoms and
+v on the target atoms (v = 0 on the last, whose row is dropped).  Under
+R = C - u 1' - 1 v', a free plan entry needs R[k, j] >= 0 and a pool
+mass p_j a nonnegative w-weighted mean of R[k, j] over the pool's atoms,
+so the certificate never reads the LP matrix.
 """
 from __future__ import annotations
 
@@ -55,11 +60,11 @@ class LpProblem:
 
     @property
     def n_rows(self) -> int:
-        return self.matrix.shape[0]
+        return sum(self.shared.shape) - 1
 
     @property
     def n_vars(self) -> int:
-        return self.matrix.shape[1]
+        return self.objective.size
 
     def plan_mass(self, x) -> np.ndarray:
         """The (n, m) plan mass of an LP vector."""
@@ -183,36 +188,55 @@ class CertificateReport:
 def certify(problem: LpProblem, x, duals) -> CertificateReport:
     """Duality certificate for a flattened plan mass and a dual vector.
 
-    The mass is mapped to LP variables with ``problem.variables``.  A plan
-    that the map does not reproduce is not causal, and the gap counts as
-    primal residual.  Residuals and negative mass may reach 1e-9, reduced
-    costs -1e-8.  Each check is written so that NaN fails it.
+    The mass is read back through ``problem.variables`` and
+    ``problem.plan_mass``.  A plan that this round trip does not reproduce
+    is not causal, and the gap counts as primal residual, as do the misfits
+    of the round-tripped plan's row sums and of its column sums but the
+    last.  The duals are the potentials u (source atoms) and v (target
+    atoms but the last, whose potential is 0).  Under R = C - u 1' - 1 v',
+    the reduced cost of a free plan entry is R[k, j], and that of the pool
+    mass p_j is the w-weighted mean of R[k, j] over the pool's atoms.
+    Slackness pairs each LP variable with its reduced cost, and the gap
+    compares the plan's cost with w'u + nu'v, nu the target weights.
+    Residuals and negative mass may reach 1e-9, reduced costs -1e-8.  Each
+    check is written so that NaN fails it.
     """
+    shared, w, nu = problem.shared, problem.source.weights, problem.target.weights
+    n, m = shared.shape
     mass = np.asarray(x, dtype=float).ravel()
     failures = []
-    if mass.size != problem.shared.size:
+    if mass.size != shared.size:
         return CertificateReport(False, ["primal vector has the wrong length"])
     if not mass.min() >= -_RESIDUAL_TOL:
         failures.append(f"negative mass {mass.min():g}")
     x = problem.variables(mass)
-    residual = max(float(np.abs(problem.matrix @ x - problem.rhs).max()),
-                   float(np.abs(problem.plan_mass(x).ravel() - mass).max()))
+    plan = problem.plan_mass(x)
+    misfit = np.concatenate([plan.sum(axis=1) - w, plan.sum(axis=0)[:-1] - nu[:-1],
+                             plan.ravel() - mass])
+    residual = float(np.abs(misfit).max())
     if not residual <= _RESIDUAL_TOL:
         failures.append(f"primal residual {residual:g}")
-    value = float(problem.objective @ x)
+    value = float(np.vdot(problem.cost_matrix, plan))
     if duals is None:
         failures.append("no dual vector")
-    else:
-        duals = np.asarray(duals, dtype=float)
-        reduced = problem.objective - problem.matrix.T @ duals
-        if not reduced.min() >= -_REDUCED_COST_TOL:
-            failures.append(f"reduced cost {reduced.min():g}")
-        slackness = float(np.abs(x * reduced).max())
-        if not slackness <= 1e-7 * max(1.0, abs(value)):
-            failures.append(f"complementary slackness {slackness:g}")
-        gap = abs(value - float(problem.rhs @ duals))
-        if not gap <= 1e-8 * max(1.0, abs(value)):
-            failures.append(f"dual gap {gap:g}")
+        return CertificateReport(False, failures)
+    duals = np.asarray(duals, dtype=float)
+    if duals.shape != (n + m - 1,):
+        failures.append("dual vector has the wrong length")
+        return CertificateReport(False, failures)
+    u, v = duals[:n], np.zeros(m)
+    v[:-1] = duals[n:]
+    R = problem.cost_matrix - (u[:, None] + v)
+    pooled = (w @ (shared * R))[:problem.pool.size] / problem.pool
+    reduced = np.concatenate([pooled, R[~shared]])
+    if not reduced.min() >= -_REDUCED_COST_TOL:
+        failures.append(f"reduced cost {reduced.min():g}")
+    slackness = float(np.abs(x * reduced).max())
+    if not slackness <= 1e-7 * max(1.0, abs(value)):
+        failures.append(f"complementary slackness {slackness:g}")
+    gap = abs(value - float(w @ u + nu @ v))
+    if not gap <= 1e-8 * max(1.0, abs(value)):
+        failures.append(f"dual gap {gap:g}")
     return CertificateReport(not failures, failures)
 
 

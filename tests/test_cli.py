@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import causalot.solver as solver_module
-from causalot.cli import _write_csv, main, parse_family_token
+from causalot.cli import _emit_json, _write_csv, main, parse_family_token
 from causalot.measures import (Exponential, Gamma, Gaussian, LevyFirstPassage,
                                Uniform)
 
@@ -233,6 +233,18 @@ class TestCouple:
         report = json.loads((tmp_path / "sample.report.json").read_text())
         assert report["passed"] is True
 
+    def test_report_is_strict_json(self, tmp_path):
+        # The outer waiting-time and arrival cells are unbounded.
+        out = tmp_path / "sample.csv"
+        assert main(["couple", "--x", "exp:1", "--tau", "exp:1", "--z", "dirac:0.5",
+                     "--n", "2000", "--seed", "0", "--out", str(out)]) == 0
+        text = (tmp_path / "sample.report.json").read_text()
+        report = json.loads(text, parse_constant=_reject_constant)
+        bounds = [cell[key] for cell in report["cells"]
+                  for key in ("a_lo", "a_hi", "b_lo", "b_hi")]
+        assert bounds.count("-inf") == bounds.count("inf") > 0
+        assert all(isinstance(b, float) for b in bounds if b not in ("inf", "-inf"))
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ["couple", "--x", "gamma:2:0.01", "--tau", "exp:0.01",
                 "--z", "exp:0.005", "--n", "400", "--seed", "3"]
@@ -386,6 +398,10 @@ def test_non_finite_flags_echo_strict_json(tmp_path, capsys, argv, key, echoed):
       "--confidence", "1.5", "--out", "{out}/s.csv"], "confidence must be in (0, 1)"),
     (["check", "--plan", "{plan}", "--tol", "inf", "--out", "{out}/r.json"],
      "tolerance must be finite"),
+    (["check", "--measure", "{measure}", "--map", "{values_map}", "--out", "{out}/r.json"],
+     "map values must be finite"),
+    (["check", "--measure", "{measure}", "--map", "{affine_map}", "--out", "{out}/r.json"],
+     "map values must be finite"),
 ])
 def test_bad_extents_are_one_error_line(tmp_path, capsys, argv, message):
     # Each value is rejected where it is read, before any output file is written.
@@ -395,15 +411,29 @@ def test_bad_extents_are_one_error_line(tmp_path, capsys, argv, message):
         "target": {"support": [3.0], "weights": [1.0]},
         "mass": [[0.5], [0.5]],
     })
+    measure = write(tmp_path / "measure.json", {"support": [0, 1], "weights": [0.5, 0.5]})
+    # JSON reads 1e400 as infinity, and 1e308 * 1 + 1e308 overflows.
+    values_map = tmp_path / "values.json"
+    values_map.write_text('{"values": [1, -1e400]}')
+    affine_map = tmp_path / "affine.json"
+    affine_map.write_text('{"affine": [1e308, 1e308]}')
     out = tmp_path / "out"
     out.mkdir()
-    argv = [a.format(spec=spec, plan=plan, out=out) for a in argv]
+    argv = [a.format(spec=spec, plan=plan, measure=measure, values_map=values_map,
+                     affine_map=affine_map, out=out) for a in argv]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(("error: ", "usage error: "))
     assert err.count("\n") == 1
     assert message in err
     assert not any(p.is_file() for p in out.rglob("*"))
+
+
+def test_non_finite_output_raises_before_writing(tmp_path):
+    out = tmp_path / "r.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _emit_json({"value": float("nan")}, str(out))
+    assert not out.exists()
 
 
 def test_console_script_runs(tmp_path):

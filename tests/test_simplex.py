@@ -30,6 +30,11 @@ def test_negative_rhs_rows_are_flipped():
     assert sol.status == "optimal"
     assert_allclose(sol.x, [2.0, 3.0])
     assert sol.objective == pytest.approx(5.0)
+    # The rows are negated in the tableau only: the caller's data stay as
+    # they were, and the duals solve A'y = c in the caller's signs.
+    assert np.array_equal(A, [[-1.0, 0.0], [0.0, 1.0]])
+    assert np.array_equal(b, [-2.0, 3.0])
+    assert_allclose(sol.duals, [-1.0, 1.0])
 
 
 def test_infeasible_detected():

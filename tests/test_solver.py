@@ -13,7 +13,8 @@ from causalot.measures import DiscreteMeasure, Exponential, Gamma, Uniform, disc
 from causalot.plans import evaluate_cost
 from causalot.plans import TransportPlan, deterministic_plan, product_plan
 from causalot.simplex import solve_standard_form
-from causalot.solver import (build_causal_lp, certify, classic_ot_1d,
+from causalot.solver import (_REDUCED_COST_TOL, _RESIDUAL_TOL, CertificateReport,
+                             LpProblem, build_causal_lp, certify, classic_ot_1d,
                              instance_from_dict, solve, solve_causal_transport,
                              verify_optimality)
 
@@ -59,6 +60,44 @@ def anchor_row_value(source, target, cost) -> float:
                            "dual_feasibility_tolerance": 1e-10})
     assert ref.status == 0
     return ref.fun
+
+
+def certify_matrix_form(problem: LpProblem, x, duals) -> CertificateReport:
+    """Duality certificate for a flattened plan mass and a dual vector.
+
+    The certificate as it was posed on the LP matrix, kept as an oracle for
+    the plan-level :func:`certify`.  The mass is mapped to LP variables
+    with ``problem.variables``.  A plan that the map does not reproduce is
+    not causal, and the gap counts as primal residual.  Residuals and
+    negative mass may reach 1e-9, reduced costs -1e-8.  Each check is
+    written so that NaN fails it.
+    """
+    mass = np.asarray(x, dtype=float).ravel()
+    failures = []
+    if mass.size != problem.shared.size:
+        return CertificateReport(False, ["primal vector has the wrong length"])
+    if not mass.min() >= -_RESIDUAL_TOL:
+        failures.append(f"negative mass {mass.min():g}")
+    x = problem.variables(mass)
+    residual = max(float(np.abs(problem.matrix @ x - problem.rhs).max()),
+                   float(np.abs(problem.plan_mass(x).ravel() - mass).max()))
+    if not residual <= _RESIDUAL_TOL:
+        failures.append(f"primal residual {residual:g}")
+    value = float(problem.objective @ x)
+    if duals is None:
+        failures.append("no dual vector")
+    else:
+        duals = np.asarray(duals, dtype=float)
+        reduced = problem.objective - problem.matrix.T @ duals
+        if not reduced.min() >= -_REDUCED_COST_TOL:
+            failures.append(f"reduced cost {reduced.min():g}")
+        slackness = float(np.abs(x * reduced).max())
+        if not slackness <= 1e-7 * max(1.0, abs(value)):
+            failures.append(f"complementary slackness {slackness:g}")
+        gap = abs(value - float(problem.rhs @ duals))
+        if not gap <= 1e-8 * max(1.0, abs(value)):
+            failures.append(f"dual gap {gap:g}")
+    return CertificateReport(not failures, failures)
 
 
 def solve_with_corrupted_duals(problem):
@@ -613,6 +652,21 @@ class TestCertificates:
         assert not report.ok
         assert any("residual" in f for f in report.failures)
 
+    def test_short_dual_vector_reported(self):
+        problem, result = self.instance()
+        report = certify(problem, result.plan.mass.ravel(), result.duals[:-1])
+        assert report.failures == ["dual vector has the wrong length"]
+
+    def test_column_dual_vector_reported(self):
+        problem, result = self.instance()
+        report = certify(problem, result.plan.mass.ravel(), result.duals[:, None])
+        assert report.failures == ["dual vector has the wrong length"]
+
+    def test_missing_dual_vector_reported(self):
+        problem, result = self.instance()
+        report = certify(problem, result.plan.mass.ravel(), None)
+        assert report.failures == ["no dual vector"]
+
     def test_random_instances_all_certify(self):
         rng = np.random.default_rng(17)
         for _ in range(25):
@@ -620,6 +674,53 @@ class TestCertificates:
             problem = build_causal_lp(eta, nu, "abs")
             result = solve(problem)
             assert verify_optimality(problem, result).ok
+
+
+@st.composite
+def perturbed_optima(draw):
+    """A solved instance with its plan or its duals perturbed, or the product plan.
+
+    Bumps are 10^k with a non-integer k in [-12, 0], so no bump lands on
+    one of the certificate's round thresholds, where the last bits of either
+    form could decide the verdict.
+    """
+    eta, nu, cost = draw(st.one_of(instances(), tiny_weight_instances()))
+    problem = build_causal_lp(eta, nu, cost)
+    result = solve(problem)
+    mass, duals = result.plan.mass.ravel(), result.duals.copy()
+    kind = draw(st.sampled_from(["dual", "mass", "product"]))
+    bump = (draw(st.sampled_from([-1.0, 1.0]))
+            * 10.0 ** (draw(st.integers(-12, -1)) + draw(st.floats(0.05, 0.95))))
+    if kind == "dual":
+        duals[draw(st.integers(0, duals.size - 1))] += bump
+    elif kind == "mass":
+        mass = mass.copy()
+        mass[draw(st.integers(0, mass.size - 1))] += bump
+    else:
+        mass = product_plan(eta, nu).mass.ravel()
+    return problem, mass, duals
+
+
+def failure_kinds(report):
+    return [failure.rsplit(" ", 1)[0] for failure in report.failures]
+
+
+class TestPlanLevelCertificate:
+    @settings(max_examples=300, deadline=None)
+    @given(perturbed_optima())
+    def test_same_verdict_as_matrix_form(self, case):
+        problem, mass, duals = case
+        plan_level = certify(problem, mass, duals)
+        oracle = certify_matrix_form(problem, mass, duals)
+        assert plan_level.ok == oracle.ok
+        assert failure_kinds(plan_level) == failure_kinds(oracle)
+
+    def test_reads_no_lp_matrix(self):
+        problem, result = TestCertificates().instance()
+        bare = LpProblem(problem.source, problem.target, problem.cost_matrix,
+                         problem.shared, problem.pool, matrix=None, rhs=None,
+                         objective=None)
+        assert certify(bare, result.plan.mass.ravel(), result.duals).ok
 
 
 class TestInstanceFromDict:
