@@ -48,6 +48,17 @@ def _load_json(path: str):
         raise ValueError(f"{path}: invalid JSON ({exc})") from exc
 
 
+def _load_plan(path: str) -> TransportPlan:
+    """A plan file, or a solve result file, which holds its plan under "plan"."""
+    data = _load_json(path)
+    if isinstance(data, dict) and "plan" in data:
+        if data["plan"] is None:
+            raise ValueError(f"{path}: the solve result holds no plan "
+                             f"(status {data.get('status')!r})")
+        data = data["plan"]
+    return TransportPlan.from_dict(data)
+
+
 def _emit_json(obj: dict, out: str | None) -> None:
     """Write ``obj`` as strict JSON; a non-finite value raises before anything is written."""
     text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
@@ -118,7 +129,7 @@ def _cmd_check(args) -> int:
     if args.plan is not None:
         if args.measure is not None or args.map is not None:
             raise _UsageError("give either --plan or --measure with --map")
-        plan = TransportPlan.from_dict(_load_json(args.plan))
+        plan = _load_plan(args.plan)
         report = check_plan_causal(plan, tol=args.tol)
     else:
         if args.measure is None or args.map is None:
@@ -175,7 +186,7 @@ def _cmd_couple(args) -> int:
     if args.from_plan is not None:
         if args.x or args.tau or args.z:
             raise _UsageError("--from-plan replaces --x/--tau/--z")
-        plan = TransportPlan.from_dict(_load_json(args.from_plan))
+        plan = _load_plan(args.from_plan)
         sample = coupling_mod.coupling_from_plan(plan, args.n, args.seed)
     else:
         if not (args.x and args.tau and args.z):

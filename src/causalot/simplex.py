@@ -8,7 +8,8 @@ written: rows with b < 0 enter the tableau negated, so the artificial
 basis is feasible, and the final basis is solved against the caller's
 own rows, so the duals come out in the caller's signs.  The pivot
 thresholds are absolute: they assume rows whose largest coefficient is
-about 1, as the causal LP poses them.  A
+about 1 and costs of at most 1 in size, as :func:`causalot.solver.solve`
+poses them, its costs scaled by a power of two into [0, 1].  A
 caller that knows a feasible vertex passes it as ``start``: crash pivots
 move its support into the basis, one per column, and phase 1 begins
 there; a start that yields no feasible basis is dropped.  Artificials
@@ -20,7 +21,9 @@ is Dantzig's most-negative rule with a switch to Bland's rule after a
 run of degenerate pivots, which guarantees termination.  Pricing and the
 primal ratio test share the fixed tolerance ``_PIVOT_TOL``.  The
 reported solution is recomputed from the final basis by a fresh
-factorization, so residuals do not inherit pivot drift.
+factorization, so it does not inherit pivot drift.  No diagnostics are
+reported: the caller certifies the solution it gets, as
+:func:`causalot.solver.certify` does.
 """
 from __future__ import annotations
 
@@ -40,9 +43,6 @@ class SimplexSolution:
     x: np.ndarray | None = None
     objective: float | None = None
     duals: np.ndarray | None = None
-    reduced_costs: np.ndarray | None = None
-    primal_residual: float | None = None
-    dual_gap: float | None = None
 
 
 def solve_standard_form(A, b, c, *, start=None,
@@ -225,12 +225,4 @@ def solve_standard_form(A, b, c, *, start=None,
         for r in act:
             x[basis[r]] = tab[r, cols]
     np.maximum(x, 0.0, out=x)
-    objective = float(c @ x)
-    residual = float(np.abs(A @ x - b).max())
-    if duals is not None:
-        reduced = c - A.T @ duals
-        gap = abs(objective - float(b @ duals))
-    else:
-        reduced, gap = None, None
-    return SimplexSolution("optimal", iterations, x, objective, duals, reduced,
-                           residual, gap)
+    return SimplexSolution("optimal", iterations, x, float(c @ x), duals)

@@ -12,16 +12,21 @@ Optim. 2017).  The LP is solved by the dense two-phase simplex in
 :mod:`causalot.simplex`, started at the causal north-west corner
 (:meth:`LpProblem.corner`), a vertex of the reduced LP that the explicit
 form gives at no cost, so the solve takes no settings.
+:func:`solve` prices the costs divided by a power of two s at or above the
+largest one, so the simplex's absolute tolerances see costs in [0, 1]
+whatever their units, and the scaling is exact.
 :func:`solve_causal_transport` reports an optimum only after LP duality
-certifies it from the reported duals and the plan passes the causality check.
-:func:`certify` reads the duals as potentials, u on the source atoms and
-v on the target atoms (v = 0 on the last, whose row is dropped).  Under
-R = C - u 1' - 1 v', a free plan entry needs R[k, j] >= 0 and a pool
-mass p_j a nonnegative w-weighted mean of R[k, j] over the pool's atoms,
-so the certificate never reads the LP matrix.
+certifies it and the plan passes the causality check.  :func:`certify`
+reads the duals as potentials, u on the source atoms and v on the target
+atoms (v = 0 on the last, whose row is dropped), never the LP matrix.
+Shifting u by the most negative reduced cost makes them dual feasible, so
+weak duality gives a lower bound L, and the certificate asks the
+enclosure [L, value] to be at most 1e-9 s wide: one check, in the cost's
+own units.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,6 +151,8 @@ class SolveResult:
     reduced_costs: np.ndarray | None = None
     primal_residual: float | None = None
     dual_gap: float | None = None
+    lower_bound: float | None = None
+    certificate: CertificateReport | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -154,32 +161,60 @@ class SolveResult:
             "iterations": self.iterations,
             "primal_residual": self.primal_residual,
             "dual_gap": self.dual_gap,
+            "lower_bound": self.lower_bound,
             "plan": self.plan.to_dict() if self.plan is not None else None,
             "duals": self.duals.tolist() if self.duals is not None else None,
         }
 
 
 def solve(problem: LpProblem) -> SolveResult:
-    """Run the two-phase simplex on a built instance, started at its causal corner."""
-    sol = solve_standard_form(problem.matrix, problem.rhs, problem.objective,
+    """Run the two-phase simplex on a built instance, started at its causal corner.
+
+    The simplex prices the costs divided by :func:`cost_scale`, so its
+    absolute tolerances meet costs of size at most 1 in any units; the
+    value and the duals are scaled back exactly.  The result is certified
+    once, and that pass fills ``certificate`` and the diagnostics.
+    """
+    scale = cost_scale(problem.cost_matrix)
+    sol = solve_standard_form(problem.matrix, problem.rhs, problem.objective / scale,
                               start=problem.corner())
     if sol.status != "optimal":
         return SolveResult(sol.status, sol.iterations)
     plan = TransportPlan(problem.source, problem.target, problem.plan_mass(sol.x))
-    return SolveResult(status="optimal", plan=plan, value=sol.objective,
-                       duals=sol.duals, reduced_costs=sol.reduced_costs,
-                       iterations=sol.iterations,
-                       primal_residual=sol.primal_residual, dual_gap=sol.dual_gap)
+    duals = None if sol.duals is None else sol.duals * scale
+    cert = certify(problem, plan.mass.ravel(), duals)
+    return SolveResult(status="optimal", plan=plan, value=sol.objective * scale,
+                       duals=duals, iterations=sol.iterations,
+                       reduced_costs=cert.reduced_costs,
+                       primal_residual=cert.primal_residual, dual_gap=cert.dual_gap,
+                       lower_bound=cert.lower_bound, certificate=cert)
 
 
-_RESIDUAL_TOL = 1e-9
-_REDUCED_COST_TOL = 1e-8
+_TOL = 1e-9  # mass misfits within it, enclosure widths within it times the cost scale
+
+
+def cost_scale(cost) -> float:
+    """The power of two at or above the largest cost, or 1 for an all-zero table.
+
+    Dividing by it is exact, so the solve can price on costs in [0, 1]
+    and report in the caller's units, and the certificate measures its
+    enclosure against the same scale.
+    """
+    top = float(cost.max())
+    if not top > 0.0:
+        return 1.0
+    mantissa, exponent = math.frexp(top)
+    return math.ldexp(1.0, exponent - (mantissa == 0.5))
 
 
 @dataclass
 class CertificateReport:
     ok: bool
     failures: list[str]
+    primal_residual: float | None = None
+    reduced_costs: np.ndarray | None = None
+    lower_bound: float | None = None
+    dual_gap: float | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -192,14 +227,30 @@ def certify(problem: LpProblem, x, duals) -> CertificateReport:
     ``problem.plan_mass``.  A plan that this round trip does not reproduce
     is not causal, and the gap counts as primal residual, as do the misfits
     of the round-tripped plan's row sums and of its column sums but the
-    last.  The duals are the potentials u (source atoms) and v (target
-    atoms but the last, whose potential is 0).  Under R = C - u 1' - 1 v',
-    the reduced cost of a free plan entry is R[k, j], and that of the pool
-    mass p_j is the w-weighted mean of R[k, j] over the pool's atoms.
-    Slackness pairs each LP variable with its reduced cost, and the gap
-    compares the plan's cost with w'u + nu'v, nu the target weights.
-    Residuals and negative mass may reach 1e-9, reduced costs -1e-8.  Each
-    check is written so that NaN fails it.
+    last.  Negative mass and the residual may reach tau = 1e-9; mass has
+    no units.
+
+    The duals are the potentials u (source atoms) and v (target atoms but
+    the last, whose potential is 0).  Under R = C - u 1' - 1 v', the
+    reduced cost of a free plan entry is R[k, j], and that of the pool mass
+    p_j is the w-weighted mean of R[k, j] over the pool's atoms.  Every LP
+    column's source-row entries sum to 1, so with -delta the most negative
+    reduced cost (delta >= 0), the potentials (u - delta, v) are dual
+    feasible, and weak duality makes L = w'u + nu'v - delta sum(w) a lower
+    bound on the optimum, nu the target weights.  The plan's cost is the
+    upper end of the enclosure [L, value], and the certificate asks
+    value - L <= tau * s, s from :func:`cost_scale`.  The width equals
+    sum_col x_col (r_col + delta) over the LP vector x, whose entries sum
+    to 1, so it bounds the negative reduced costs, the slackness and the
+    gap to w'u + nu'v alike.
+
+    Weak duality against optimal potentials y* with reduced costs r* >= 0
+    bounds the other side: value >= optimum - |y*|_1 rho - sum over
+    x_col < 0 of |x_col| r*_col, rho the largest marginal misfit.  With
+    potentials of the cost's size that is a few (n + m) rho s, so the mass
+    threshold too reads in units of s.  The report carries the residual,
+    the reduced costs (pool means, then free cells), L and the gap
+    |value - (w'u + nu'v)|.  Each check is written so that NaN fails it.
     """
     shared, w, nu = problem.shared, problem.source.weights, problem.target.weights
     n, m = shared.shape
@@ -207,37 +258,36 @@ def certify(problem: LpProblem, x, duals) -> CertificateReport:
     failures = []
     if mass.size != shared.size:
         return CertificateReport(False, ["primal vector has the wrong length"])
-    if not mass.min() >= -_RESIDUAL_TOL:
+    if not mass.min() >= -_TOL:
         failures.append(f"negative mass {mass.min():g}")
     x = problem.variables(mass)
     plan = problem.plan_mass(x)
     misfit = np.concatenate([plan.sum(axis=1) - w, plan.sum(axis=0)[:-1] - nu[:-1],
                              plan.ravel() - mass])
     residual = float(np.abs(misfit).max())
-    if not residual <= _RESIDUAL_TOL:
+    if not residual <= _TOL:
         failures.append(f"primal residual {residual:g}")
     value = float(np.vdot(problem.cost_matrix, plan))
     if duals is None:
         failures.append("no dual vector")
-        return CertificateReport(False, failures)
+        return CertificateReport(False, failures, residual)
     duals = np.asarray(duals, dtype=float)
     if duals.shape != (n + m - 1,):
         failures.append("dual vector has the wrong length")
-        return CertificateReport(False, failures)
+        return CertificateReport(False, failures, residual)
     u, v = duals[:n], np.zeros(m)
     v[:-1] = duals[n:]
     R = problem.cost_matrix - (u[:, None] + v)
     pooled = (w @ (shared * R))[:problem.pool.size] / problem.pool
     reduced = np.concatenate([pooled, R[~shared]])
-    if not reduced.min() >= -_REDUCED_COST_TOL:
-        failures.append(f"reduced cost {reduced.min():g}")
-    slackness = float(np.abs(x * reduced).max())
-    if not slackness <= 1e-7 * max(1.0, abs(value)):
-        failures.append(f"complementary slackness {slackness:g}")
-    gap = abs(value - float(w @ u + nu @ v))
-    if not gap <= 1e-8 * max(1.0, abs(value)):
-        failures.append(f"dual gap {gap:g}")
-    return CertificateReport(not failures, failures)
+    delta = float(np.maximum(0.0, -reduced.min()))
+    bound = float(w @ u + nu @ v)
+    lower = bound - delta * float(w.sum())
+    width = value - lower
+    if not width <= _TOL * cost_scale(problem.cost_matrix):
+        failures.append(f"enclosure width {width:g}")
+    return CertificateReport(not failures, failures, residual, reduced, lower,
+                             abs(value - bound))
 
 
 def verify_optimality(problem: LpProblem, result: SolveResult) -> CertificateReport:
@@ -294,10 +344,9 @@ def solve_causal_transport(source: DiscreteMeasure, target: DiscreteMeasure, cos
     result = solve(problem)
     if result.status != "optimal":
         return result
-    cert = verify_optimality(problem, result)
-    if not cert.ok:
+    if not result.certificate:
         raise RuntimeError("solver output fails its duality certificate: "
-                           + "; ".join(cert.failures))
+                           + "; ".join(result.certificate.failures))
     report = check_plan_causal(result.plan, tol=1e-8)
     if not report.causal:
         raise RuntimeError(

@@ -184,14 +184,14 @@ class TestSolve:
         assert main(["solve", uniform3]) == 1
 
     def test_failed_certificate_is_one_line(self, tmp_path, uniform3, capsys, monkeypatch):
-        real_solve = solver_module.solve
+        real_simplex = solver_module.solve_standard_form
 
-        def solve_with_corrupted_duals(problem):
-            result = real_solve(problem)
-            result.duals[0] += 0.25
-            return result
+        def simplex_with_corrupted_duals(*args, **kwargs):
+            sol = real_simplex(*args, **kwargs)
+            sol.duals[0] += 0.25
+            return sol
 
-        monkeypatch.setattr(solver_module, "solve", solve_with_corrupted_duals)
+        monkeypatch.setattr(solver_module, "solve_standard_form", simplex_with_corrupted_duals)
         nu = write(tmp_path / "nu.json",
                    {"support": [0.5, 10.0], "weights": [0.5, 0.5]})
         assert main(["solve", uniform3, nu]) == 1
@@ -218,6 +218,42 @@ class TestSolve:
         assert main(["solve", "--instance", inst, "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: cost values must be finite and nonnegative\n"
         assert not out.exists()
+
+
+class TestSolveResultFeedsBack:
+    """A solve result file stands in for a plan file in check and couple."""
+
+    def instances(self, tmp_path, uniform3):
+        nu = write(tmp_path / "nu.json", {"support": [0.5, 1.5, 2.5],
+                                          "weights": [0.25, 0.25, 0.5]})
+        table = write(tmp_path / "inst.json", {
+            "eta": {"support": [0.0, 1.0, 2.0], "weights": [1 / 3, 1 / 3, 1 / 3]},
+            "nu": {"support": [0.5, 1.5, 2.5], "weights": [1 / 3, 1 / 3, 1 / 3]},
+            "cost": {"table": [[4.0, 3.0, 4.0], [2.0, 3.0, 4.0], [3.0, 3.0, 2.0]]},
+        })
+        return {"abs": [uniform3, nu, "--cost", "abs"],
+                "square": [uniform3, nu, "--cost", "square"],
+                "table": ["--instance", table]}
+
+    @pytest.mark.parametrize("kind", ["abs", "square", "table"])
+    def test_solve_check_couple_chain(self, tmp_path, uniform3, kind):
+        result = str(tmp_path / "res.json")
+        assert main(["solve", *self.instances(tmp_path, uniform3)[kind], "--out", result]) == 0
+        report = tmp_path / "check.json"
+        assert main(["check", "--plan", result, "--out", str(report)]) == 0
+        assert json.loads(report.read_text())["causal"] is True
+        sample = tmp_path / "s.csv"
+        assert main(["couple", "--from-plan", result, "--n", "2000", "--seed", "0",
+                     "--out", str(sample)]) == 0
+        assert len(sample.read_text().splitlines()) == 2001
+
+    @pytest.mark.parametrize("command", [["check", "--plan"], ["couple", "--from-plan"]])
+    def test_result_without_plan_is_one_error_line(self, tmp_path, capsys, command):
+        result = write(tmp_path / "res.json", {"status": "iteration-limit", "plan": None})
+        assert main([*command, result]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "holds no plan" in err
+        assert err.count("\n") == 1
 
 
 class TestCouple:
@@ -324,6 +360,16 @@ class TestExample:
         printed = capsys.readouterr().out
         assert "relative gap" in printed
         assert "discrete mean gap" in printed
+
+    def test_gamma_poisson_in_small_cost_units(self, tmp_path, capsys):
+        # Rate 1e-7 puts the costs near 1e7; the certificate measures its
+        # enclosure in those units, so the optimum is no longer rejected.
+        code = main(["example", "gamma-poisson", "--rate", "1e-7", "--atoms", "60",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        result = json.loads((tmp_path / "gamma_poisson_result.json").read_text())
+        assert result["value"] == pytest.approx(result["discrete_mean_gap"], rel=1e-12)
+        assert result["lower_bound"] <= result["value"]
 
     def test_unknown_example_rejected(self):
         assert main(["example", "nothere"]) == 1
@@ -445,3 +491,17 @@ def test_console_script_runs(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert '"config"' in proc.stdout
+
+
+def test_cli_import_loads_no_test_only_modules():
+    # The exact oracle's fractions and HiGHS's scipy.optimize (about 16 MB
+    # of peak RSS) belong to the tests, not to the package.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    probe = ("import sys, causalot.cli; "
+             "print(sorted(m for m in ('fractions', 'scipy.optimize') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

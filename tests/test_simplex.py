@@ -82,9 +82,9 @@ def test_duals_close_strong_duality():
     sol = solve_standard_form(A, b, c)
     assert sol.status == "optimal"
     assert b @ sol.duals == pytest.approx(sol.objective, abs=1e-9)
-    assert sol.reduced_costs.min() >= -1e-9
-    assert sol.primal_residual < 1e-9
-    assert sol.dual_gap < 1e-8
+    assert (c - A.T @ sol.duals).min() >= -1e-9
+    assert np.abs(A @ sol.x - b).max() < 1e-9
+    assert abs(sol.objective - b @ sol.duals) < 1e-8
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -105,7 +105,7 @@ def test_matches_reference_solver_on_random_instances(seed):
     if ref.status == 0:
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(ref.fun, abs=1e-7, rel=1e-7)
-        assert sol.primal_residual < 1e-8
+        assert np.abs(A @ sol.x - b).max() < 1e-8
     elif ref.status == 2:
         assert sol.status == "infeasible"
 

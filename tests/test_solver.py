@@ -1,4 +1,5 @@
 import functools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,10 +14,10 @@ from causalot.measures import DiscreteMeasure, Exponential, Gamma, Uniform, disc
 from causalot.plans import evaluate_cost
 from causalot.plans import TransportPlan, deterministic_plan, product_plan
 from causalot.simplex import solve_standard_form
-from causalot.solver import (_REDUCED_COST_TOL, _RESIDUAL_TOL, CertificateReport,
-                             LpProblem, build_causal_lp, certify, classic_ot_1d,
-                             instance_from_dict, solve, solve_causal_transport,
-                             verify_optimality)
+from causalot.solver import (_TOL, LpProblem, build_causal_lp, certify, classic_ot_1d,
+                             cost_scale, instance_from_dict, solve,
+                             solve_causal_transport, verify_optimality)
+from exact_lp import reduced_lp, solve_exact
 
 
 def uniform_on(points):
@@ -62,49 +63,25 @@ def anchor_row_value(source, target, cost) -> float:
     return ref.fun
 
 
-def certify_matrix_form(problem: LpProblem, x, duals) -> CertificateReport:
-    """Duality certificate for a flattened plan mass and a dual vector.
-
-    The certificate as it was posed on the LP matrix, kept as an oracle for
-    the plan-level :func:`certify`.  The mass is mapped to LP variables
-    with ``problem.variables``.  A plan that the map does not reproduce is
-    not causal, and the gap counts as primal residual.  Residuals and
-    negative mass may reach 1e-9, reduced costs -1e-8.  Each check is
-    written so that NaN fails it.
-    """
-    mass = np.asarray(x, dtype=float).ravel()
-    failures = []
-    if mass.size != problem.shared.size:
-        return CertificateReport(False, ["primal vector has the wrong length"])
-    if not mass.min() >= -_RESIDUAL_TOL:
-        failures.append(f"negative mass {mass.min():g}")
-    x = problem.variables(mass)
-    residual = max(float(np.abs(problem.matrix @ x - problem.rhs).max()),
-                   float(np.abs(problem.plan_mass(x).ravel() - mass).max()))
-    if not residual <= _RESIDUAL_TOL:
-        failures.append(f"primal residual {residual:g}")
-    value = float(problem.objective @ x)
-    if duals is None:
-        failures.append("no dual vector")
-    else:
-        duals = np.asarray(duals, dtype=float)
-        reduced = problem.objective - problem.matrix.T @ duals
-        if not reduced.min() >= -_REDUCED_COST_TOL:
-            failures.append(f"reduced cost {reduced.min():g}")
-        slackness = float(np.abs(x * reduced).max())
-        if not slackness <= 1e-7 * max(1.0, abs(value)):
-            failures.append(f"complementary slackness {slackness:g}")
-        gap = abs(value - float(problem.rhs @ duals))
-        if not gap <= 1e-8 * max(1.0, abs(value)):
-            failures.append(f"dual gap {gap:g}")
-    return CertificateReport(not failures, failures)
+def solve_standard_form_with_corrupted_duals(*args, **kwargs):
+    """The simplex with its first dual off by 0.25, as in TestCertificates."""
+    sol = solve_standard_form(*args, **kwargs)
+    sol.duals[0] += 0.25
+    return sol
 
 
-def solve_with_corrupted_duals(problem):
-    """An optimal solve whose first dual is off, as in TestCertificates."""
-    result = solve(problem)
-    result.duals[0] += 0.25
-    return result
+def rational_lp(problem: LpProblem):
+    """The LP that ``problem`` poses, in fractions, read exactly from its float data."""
+    return reduced_lp(problem.source.support, problem.source.weights,
+                      problem.target.support, problem.target.weights, problem.cost_matrix)
+
+
+def exact_solution(problem: LpProblem):
+    return solve_exact(rational_lp(problem))
+
+
+# Float rounding allowed beside the certificate's own bounds, in units of s.
+ROUNDING = 1e-12
 
 
 class TestBuildCausalLp:
@@ -382,7 +359,8 @@ class TestCertifiedPipeline:
                                            max_subset=3, mass_tol=1e-9).ok
 
     def test_failed_certificate_raises(self, monkeypatch):
-        monkeypatch.setattr(solver_module, "solve", solve_with_corrupted_duals)
+        monkeypatch.setattr(solver_module, "solve_standard_form",
+                            solve_standard_form_with_corrupted_duals)
         eta = uniform_on([0.0, 1.0, 2.0])
         nu = DiscreteMeasure([0.5, 10.0], [0.5, 0.5])
         with pytest.raises(RuntimeError, match="certificate"):
@@ -576,7 +554,7 @@ class TestCertificates:
         other = product_plan(problem.source, problem.target)
         report = certify(problem, other.mass.ravel(), result.duals)
         assert not report.ok
-        assert any("slackness" in f for f in report.failures)
+        assert any("enclosure width" in f for f in report.failures)
 
     def test_corrupted_duals_rejected(self):
         problem, result = self.instance()
@@ -598,8 +576,7 @@ class TestCertificates:
         problem, result = self.instance()
         report = certify(problem, result.plan.mass.ravel(),
                          np.full_like(result.duals, np.nan))
-        assert report.failures == ["reduced cost nan", "complementary slackness nan",
-                                   "dual gap nan"]
+        assert report.failures == ["enclosure width nan"]
 
     def test_nan_mass_entry_rejected(self):
         problem, result = self.instance()
@@ -667,6 +644,16 @@ class TestCertificates:
         report = certify(problem, result.plan.mass.ravel(), None)
         assert report.failures == ["no dual vector"]
 
+    def test_solve_carries_its_certificate(self):
+        problem, result = self.instance()
+        report = verify_optimality(problem, result)
+        assert result.certificate.ok
+        assert_allclose(result.reduced_costs, report.reduced_costs, rtol=0, atol=0)
+        assert result.primal_residual == report.primal_residual
+        assert result.dual_gap == report.dual_gap
+        assert result.lower_bound == report.lower_bound <= result.value
+        assert result.to_dict()["lower_bound"] == result.lower_bound
+
     def test_random_instances_all_certify(self):
         rng = np.random.default_rng(17)
         for _ in range(25):
@@ -708,12 +695,28 @@ def failure_kinds(report):
 class TestPlanLevelCertificate:
     @settings(max_examples=300, deadline=None)
     @given(perturbed_optima())
-    def test_same_verdict_as_matrix_form(self, case):
+    def test_verdict_is_sound_against_the_exact_optimum(self, case):
+        # Weak duality makes L a lower bound for any finite duals; an
+        # accepted plan costs at most tau * s above the optimum and, by the
+        # docstring's residual bound, at most tau |y*|_1 plus its negative
+        # entries' share of the optimal reduced costs r* below it.
         problem, mass, duals = case
-        plan_level = certify(problem, mass, duals)
-        oracle = certify_matrix_form(problem, mass, duals)
-        assert plan_level.ok == oracle.ok
-        assert failure_kinds(plan_level) == failure_kinds(oracle)
+        report = certify(problem, mass, duals)
+        lp = rational_lp(problem)
+        exact = solve_exact(lp)
+        optimum = float(exact.value)
+        scale = cost_scale(problem.cost_matrix)
+        assert report.lower_bound <= optimum + ROUNDING * scale
+        if not report.ok:
+            return
+        x = problem.variables(mass)
+        value = float(np.vdot(problem.cost_matrix, problem.plan_mass(x)))
+        assert value - optimum <= (_TOL + ROUNDING) * scale
+        r_star = [float(c - sum(row[col] * y for row, y in zip(lp.matrix, exact.duals)))
+                  for col, c in enumerate(lp.objective)]
+        below = _TOL * sum(abs(float(y)) for y in exact.duals) + sum(
+            -xc * rc for xc, rc in zip(x, r_star) if xc < 0)
+        assert optimum - value <= below + ROUNDING * scale
 
     def test_reads_no_lp_matrix(self):
         problem, result = TestCertificates().instance()
@@ -721,6 +724,99 @@ class TestPlanLevelCertificate:
                          problem.shared, problem.pool, matrix=None, rhs=None,
                          objective=None)
         assert certify(bare, result.plan.mass.ravel(), result.duals).ok
+
+
+def three_by_three():
+    """The cost table on which an absolute pricing tolerance went wrong; optimum 17/6."""
+    table = np.array([[4.0, 3.0, 4.0], [2.0, 3.0, 4.0], [3.0, 3.0, 2.0]])
+    return uniform_on([0.0, 1.0, 2.0]), uniform_on([0.5, 1.5, 2.5]), table
+
+
+@st.composite
+def scaled_instances(draw):
+    """An instance of ``instances()`` as a cost table, and a power of ten 10^k, |k| <= 12."""
+    eta, nu, cost = draw(instances())
+    return eta, nu, evaluate_cost(cost, eta.support, nu.support), 10.0 ** draw(st.integers(-12, 12))
+
+
+class TestCostUnits:
+    """The solve and its certificate give the same answer in any cost units."""
+
+    @pytest.mark.parametrize("s", [1e-9, 1e9])
+    def test_three_by_three_in_any_units(self, s):
+        eta, nu, table = three_by_three()
+        result = solve_causal_transport(eta, nu, table * s)
+        assert result.value == pytest.approx(17 / 6 * s, rel=1e-12, abs=0)
+        assert result.value - result.lower_bound <= _TOL * cost_scale(table * s)
+
+    @pytest.mark.parametrize("s", [1e-9, 1.0, 1e9])
+    def test_product_plan_with_zero_duals_rejected(self, s):
+        eta, nu, table = three_by_three()
+        problem = build_causal_lp(eta, nu, table * s)
+        report = certify(problem, product_plan(eta, nu).mass.ravel(), np.zeros(problem.n_rows))
+        assert failure_kinds(report) == ["enclosure width"]
+
+    def test_zero_cost_certified_with_width_zero(self):
+        eta, nu, _ = three_by_three()
+        result = solve_causal_transport(eta, nu, np.zeros((3, 3)))
+        assert result.certificate.ok
+        assert result.value == result.lower_bound == 0.0
+
+    def test_scale_is_the_power_of_two_at_or_above_the_largest_cost(self):
+        assert cost_scale(np.zeros((2, 2))) == 1.0
+        assert cost_scale(np.array([[0.5, 3.0]])) == 4.0
+        assert cost_scale(np.array([[4.0]])) == 4.0
+        assert cost_scale(np.array([[1e-9]])) == 2.0 ** -29
+
+    @settings(max_examples=150, deadline=None)
+    @given(scaled_instances())
+    def test_value_scales_with_the_cost(self, case):
+        eta, nu, table, s = case
+        optimum = float(exact_solution(build_causal_lp(eta, nu, table)).value)
+        result = solve_causal_transport(eta, nu, table * s)
+        assert result.value == pytest.approx(optimum * s, rel=1e-12,
+                                             abs=ROUNDING * cost_scale(table * s))
+
+    @settings(max_examples=150, deadline=None)
+    @given(instances(), st.data())
+    def test_value_shifts_with_row_and_column_terms(self, instance, data):
+        # Every plan has row sums w and column sums nu, so adding a_k to row k
+        # and b_j to column j adds w'a + nu'b to every plan's cost.
+        eta, nu, cost = instance
+        table = evaluate_cost(cost, eta.support, nu.support)
+        a = np.asarray(data.draw(st.lists(st.integers(0, 20), min_size=eta.n,
+                                          max_size=eta.n))) * 0.25
+        b = np.asarray(data.draw(st.lists(st.integers(0, 20), min_size=nu.n,
+                                          max_size=nu.n))) * 0.25
+        shifted = table + a[:, None] + b
+        optimum = exact_solution(build_causal_lp(eta, nu, table)).value
+        expected = float(optimum + sum(Fraction(w) * Fraction(t) for w, t in zip(eta.weights, a))
+                         + sum(Fraction(v) * Fraction(t) for v, t in zip(nu.weights, b)))
+        result = solve_causal_transport(eta, nu, shifted)
+        scale = cost_scale(shifted)
+        assert result.value == pytest.approx(expected, rel=1e-12, abs=ROUNDING * scale)
+        assert result.value - result.lower_bound <= _TOL * scale
+
+    @settings(max_examples=150, deadline=None)
+    @given(instances())
+    def test_enclosure_holds_the_exact_optimum(self, instance):
+        problem = build_causal_lp(*instance)
+        result = solve(problem)
+        optimum = float(exact_solution(problem).value)
+        slack = ROUNDING * cost_scale(problem.cost_matrix)
+        assert result.lower_bound <= optimum + slack
+        assert optimum <= result.value + slack
+
+    @settings(max_examples=150, deadline=None)
+    @given(instances(), st.sampled_from(["abs", "square"]))
+    def test_monge_corner_is_optimal(self, instance, cost):
+        # Still empirical: no proof yet that the causal north-west corner is
+        # optimal for every Monge cost.
+        eta, nu, _ = instance
+        problem = build_causal_lp(eta, nu, cost)
+        optimum = float(exact_solution(problem).value)
+        assert problem.objective @ problem.corner() == pytest.approx(
+            optimum, rel=1e-12, abs=ROUNDING * cost_scale(problem.cost_matrix))
 
 
 class TestInstanceFromDict:
