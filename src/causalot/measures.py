@@ -102,6 +102,8 @@ class DiscreteMeasure:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DiscreteMeasure":
+        if not isinstance(data, dict):
+            raise ValueError("measure data must be a JSON object")
         try:
             return cls(data["support"], data["weights"])
         except KeyError as exc:

@@ -75,6 +75,8 @@ class TransportPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TransportPlan":
+        if not isinstance(data, dict):
+            raise ValueError("plan data must be a JSON object")
         try:
             source = DiscreteMeasure.from_dict(data["source"])
             target = DiscreteMeasure.from_dict(data["target"])

@@ -11,17 +11,19 @@ thresholds are absolute: they assume rows whose largest coefficient is
 about 1 and costs of at most 1 in size, as :func:`causalot.solver.solve`
 poses them, its costs scaled by a power of two into [0, 1].  A
 caller that knows a feasible vertex passes it as ``start``: crash pivots
-move its support into the basis, one per column, and phase 1 begins
-there; a start that yields no feasible basis is dropped.  Artificials
-left in the basis after phase 1 are driven out by a dual ratio test:
-the admissible column with the least ratio of phase-2 reduced cost,
-floored at 0, to pivot entry enters, the last on ties.  It keeps
-nonnegative reduced costs so, and no column scaling moves it.  Pricing
-is Dantzig's most-negative rule with a switch to Bland's rule after a
-run of degenerate pivots, which guarantees termination.  Pricing and the
-primal ratio test share the fixed tolerance ``_PIVOT_TOL``.  The
-reported solution is recomputed from the final basis by a fresh
-factorization, so it does not inherit pivot drift.  No diagnostics are
+move its support into the basis, one per column, and phase 1 runs from
+there to its verdict.  A start is pivoted in or refused with a
+``ValueError``, never discarded.  Artificials left in the basis after
+phase 1 are driven out by a dual ratio test: the admissible column with
+the least ratio of phase-2 reduced cost, floored at 0, to pivot entry
+enters, the last on ties.  It keeps nonnegative reduced costs so, and no
+column scaling moves it.  Pricing is Dantzig's most-negative rule with a
+switch to Bland's rule after a run of degenerate pivots, which
+guarantees termination.  Pricing, the primal ratio test and the check of
+the refactored basis share the fixed tolerance ``_PIVOT_TOL``.  The
+reported solution is the final basis refactored against the caller's
+rows, so it does not inherit pivot drift; a final basis that is singular
+or infeasible there raises a ``RuntimeError``.  No diagnostics are
 reported: the caller certifies the solution it gets, as
 :func:`causalot.solver.certify` does.
 """
@@ -38,6 +40,7 @@ _PIVOT_TOL = 1e-9  # reduced costs and pivot entries within it count as zero
 
 @dataclass
 class SimplexSolution:
+    # x, objective and duals are set exactly when the status is "optimal".
     status: str  # "optimal" | "infeasible" | "iteration-limit"
     iterations: int
     x: np.ndarray | None = None
@@ -49,14 +52,17 @@ def solve_standard_form(A, b, c, *, start=None,
                         max_iterations: int = 50_000) -> SimplexSolution:
     """Minimize c'x subject to A x = b, x >= 0.
 
-    ``start``, if given, is a feasible point whose support is meant to be a
-    basis.  Each support column (every positive entry) is pivoted into the
+    ``start``, if given, is a feasible point whose support is a basis.
+    Each support column (every positive entry) is pivoted into the
     artificial row where its entry is largest in absolute value, and
-    phase 1 continues from there.  The start is discarded, and the solve
-    runs as without it, when a column finds no such row (none above 1e-7),
-    the right-hand side turns negative, or phase 1 cannot bring the
-    infeasibility to zero.  ``iterations`` counts every pivot of the
-    reported solve, crash pivots included, against ``max_iterations``.
+    phase 1 continues from there to its verdict.  A start is pivoted in or
+    refused, never discarded: a ``ValueError`` names it when a column
+    finds no such row (none above 1e-7) or the right-hand side turns
+    negative.  The result is the final basis refactored against the
+    caller's rows, or a ``RuntimeError`` when that factorization is
+    singular or gives a basic value below ``-_PIVOT_TOL``.
+    ``iterations`` counts every pivot, crash pivots included, against
+    ``max_iterations``.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -72,40 +78,35 @@ def solve_standard_form(A, b, c, *, start=None,
 
     # Tableau layout: rows 0..rows-1 hold B^-1 [A | b], each row with b < 0
     # negated; row `rows` is the phase-1 objective, row rows+1 the phase-2
-    # objective.
+    # objective.  It starts at the all-artificial basis.
     tab = np.empty((rows + 2, cols + 1), order="F")
-    basis = np.empty(rows, dtype=int)
-    in_basis = np.empty(cols, dtype=bool)
+    tab[:rows, :cols] = A
+    tab[:rows, cols] = b
+    tab[rows, :cols] = -A.sum(axis=0)
+    if flip.any():  # the phase-1 row sums the rows as signed
+        tab[:rows][flip] *= -1.0
+        tab[rows, :cols] += 2.0 * (flip @ A)
+    tab[rows, cols] = -tab[:rows, cols].sum()
+    tab[rows + 1, :cols] = c
+    tab[rows + 1, cols] = 0.0
+    basis = np.full(rows, _ARTIFICIAL)
+    in_basis = np.zeros(cols, dtype=bool)
     active = np.ones(rows, dtype=bool)
     iterations = 0
     stall = 0
     stall_limit = 5 * rows
 
-    def reset() -> None:
-        """The all-artificial basis, with no pivot made."""
-        nonlocal iterations, stall
-        tab[:rows, :cols] = A
-        tab[:rows, cols] = b
-        tab[rows, :cols] = -A.sum(axis=0)
-        if flip.any():  # the phase-1 row sums the rows as signed
-            tab[:rows][flip] *= -1.0
-            tab[rows, :cols] += 2.0 * (flip @ A)
-        tab[rows, cols] = -tab[:rows, cols].sum()
-        tab[rows + 1, :cols] = c
-        tab[rows + 1, cols] = 0.0
-        basis.fill(_ARTIFICIAL)
-        in_basis.fill(False)
-        iterations = stall = 0
-
     def pivot(row: int, col: int) -> None:
+        """Column ``col`` enters the basis in ``row``; the tableau is Fortran-ordered."""
         nonlocal iterations
-        piv = tab[row, col]
-        tab[row] /= piv
+        if basis[row] != _ARTIFICIAL:
+            in_basis[basis[row]] = False
+        basis[row] = col
+        in_basis[col] = True
+        tab[row] /= tab[row, col]
         column = tab[:, col].copy()
         column[row] = 0.0
-        out = dger(-1.0, column, tab[row], a=tab, overwrite_a=1)
-        if out is not tab:  # pragma: no cover - dger copies only for non-F arrays
-            tab[...] = out
+        dger(-1.0, column, tab[row], a=tab, overwrite_a=1)
         tab[:, col] = 0.0
         tab[row, col] = 1.0
         iterations += 1
@@ -150,41 +151,27 @@ def solve_standard_form(A, b, c, *, start=None,
                 raise RuntimeError("LP is unbounded below")
             step = tab[row, cols] / tab[row, col]
             stall = stall + 1 if step <= 1e-12 else 0
-            leaving = basis[row]
-            if leaving != _ARTIFICIAL:
-                in_basis[leaving] = False
-            basis[row] = col
-            in_basis[col] = True
             pivot(row, col)
 
-    def crash(x) -> bool:
-        """Pivot the support of ``x`` into the basis; False if no feasible basis results."""
-        # However small, an entry left out would keep its row's artificial
-        # at that level, under the phase-1 stop, for the drive-out to divide
-        # by a pivot that may be tiny too.
-        for col in np.flatnonzero(x > 0.0):
+    if start is not None:
+        # Crash the whole support in.  However small, an entry left out
+        # would keep its row's artificial at that level, under the phase-1
+        # stop, for the drive-out to divide by a pivot that may be tiny too.
+        for col in np.flatnonzero(start > 0.0):
             if iterations >= max_iterations:
-                break
+                return SimplexSolution("iteration-limit", iterations)
             coefs = np.where(basis == _ARTIFICIAL, np.abs(tab[:rows, col]), 0.0)
             if coefs.max(initial=0.0) <= 1e-7:
-                return False
-            row = int(np.argmax(coefs))
-            basis[row] = col
-            in_basis[col] = True
-            pivot(row, col)
-        return tab[:rows, cols].min(initial=0.0) >= -_PIVOT_TOL
+                raise ValueError(f"start is not a basis: its column {col} "
+                                 "finds no artificial row above 1e-07")
+            pivot(int(np.argmax(coefs)), col)
+        if tab[:rows, cols].min(initial=0.0) < -_PIVOT_TOL:
+            raise ValueError("start is not a feasible basis: a basic value is "
+                             f"{tab[:rows, cols].min():g}")
 
-    for warm in ((True, False) if start is not None else (False,)):
-        reset()
-        if warm and not crash(start):
-            continue
-        status = run_phase(rows, phase_one=True)
-        if status == "iteration-limit":
-            return SimplexSolution("iteration-limit", iterations)
-        if not warm or -tab[rows, cols] <= 1e-10:
-            break
-    infeasibility = -tab[rows, cols]
-    if infeasibility > 1e-7:
+    if run_phase(rows, phase_one=True) == "iteration-limit":
+        return SimplexSolution("iteration-limit", iterations)
+    if -tab[rows, cols] > 1e-7:
         return SimplexSolution("infeasible", iterations)
 
     # Drive leftover artificials out of the basis or retire their rows.  The
@@ -195,18 +182,14 @@ def solve_standard_form(A, b, c, *, start=None,
         options = np.flatnonzero((np.abs(tab[i, :cols]) > 1e-7) & ~in_basis)
         if options.size:
             ratio = np.maximum(tab[rows + 1, options], 0.0) / np.abs(tab[i, options])
-            col = int(options[np.flatnonzero(ratio == ratio.min())[-1]])
-            basis[i] = col
-            in_basis[col] = True
-            pivot(i, col)
+            pivot(i, int(options[np.flatnonzero(ratio == ratio.min())[-1]]))
         else:
             active[i] = False
 
-    status = run_phase(rows + 1, phase_one=False)
-    if status == "iteration-limit":
+    if run_phase(rows + 1, phase_one=False) == "iteration-limit":
         return SimplexSolution("iteration-limit", iterations)
 
-    # Recompute everything from the final basis against the caller's rows.
+    # Refactor the final basis against the caller's rows.
     act = np.flatnonzero(active)
     basic_cols = basis[act]
     B = A[np.ix_(act, basic_cols)]
@@ -215,14 +198,9 @@ def solve_standard_form(A, b, c, *, start=None,
     try:
         x[basic_cols] = np.linalg.solve(B, b[act])
         duals[act] = np.linalg.solve(B.T, c[basic_cols])
-    except np.linalg.LinAlgError:  # pragma: no cover - simplex bases are invertible
-        for i, r in enumerate(act):
-            x[basis[r]] = tab[r, cols]
-        duals = None
-    if x.min() < -1e-7:
-        # Refactorization disagrees with the tableau; fall back to tableau values.
-        x[:] = 0.0
-        for r in act:
-            x[basis[r]] = tab[r, cols]
+    except np.linalg.LinAlgError:
+        raise RuntimeError("the final basis is singular") from None
+    if x.min() < -_PIVOT_TOL:
+        raise RuntimeError(f"the final basis is infeasible: a basic value is {x.min():g}")
     np.maximum(x, 0.0, out=x)
     return SimplexSolution("optimal", iterations, x, float(c @ x), duals)

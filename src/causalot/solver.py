@@ -181,7 +181,7 @@ def solve(problem: LpProblem) -> SolveResult:
     if sol.status != "optimal":
         return SolveResult(sol.status, sol.iterations)
     plan = TransportPlan(problem.source, problem.target, problem.plan_mass(sol.x))
-    duals = None if sol.duals is None else sol.duals * scale
+    duals = sol.duals * scale
     cert = certify(problem, plan.mass.ravel(), duals)
     return SolveResult(status="optimal", plan=plan, value=sol.objective * scale,
                        duals=duals, iterations=sol.iterations,
@@ -356,6 +356,8 @@ def solve_causal_transport(source: DiscreteMeasure, target: DiscreteMeasure, cos
 
 def instance_from_dict(data: dict):
     """Parse {"eta": measure, "nu": measure, "cost": name-or-table}."""
+    if not isinstance(data, dict):
+        raise ValueError("instance data must be a JSON object")
     try:
         eta = DiscreteMeasure.from_dict(data["eta"])
         nu = DiscreteMeasure.from_dict(data["nu"])

@@ -11,6 +11,7 @@ import causalot.solver as solver_module
 from causalot.cli import _emit_json, _write_csv, main, parse_family_token
 from causalot.measures import (Exponential, Gamma, Gaussian, LevyFirstPassage,
                                Uniform)
+from hard_cases import INFEASIBLE_FINAL_BASIS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -217,6 +218,22 @@ class TestSolve:
         out = tmp_path / "result.json"
         assert main(["solve", "--instance", inst, "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: cost values must be finite and nonnegative\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", INFEASIBLE_FINAL_BASIS)
+    def test_infeasible_final_basis_is_one_line(self, tmp_path, capsys, case):
+        xs, ws, ys, vs, table, _ = case
+        inst = write(tmp_path / "inst.json", {
+            "eta": {"support": xs, "weights": ws},
+            "nu": {"support": ys, "weights": vs},
+            "cost": {"table": table},
+        })
+        out = tmp_path / "result.json"
+        assert main(["solve", "--instance", inst, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "final basis" in err
+        assert "source weights" not in err
+        assert err.count("\n") == 1
         assert not out.exists()
 
 
@@ -473,6 +490,31 @@ def test_bad_extents_are_one_error_line(tmp_path, capsys, argv, message):
     assert err.count("\n") == 1
     assert message in err
     assert not any(p.is_file() for p in out.rglob("*"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--plan", "{bad}"],
+    ["check", "--plan", "{plan_of_scalar_source}"],
+    ["check", "--measure", "{bad}", "--map", "{map}"],
+    ["check", "--measure", "{measure}", "--map", "{bad}"],
+    ["solve", "--instance", "{bad}"],
+    ["solve", "{bad}", "{measure}"],
+    ["solve", "{measure}", "{bad}"],
+    ["couple", "--from-plan", "{bad}"],
+    ["couple", "--from-plan", "{plan_of_scalar_source}"],
+    ["discretize", "{bad}"],
+])
+def test_wrong_shaped_json_is_one_error_line(tmp_path, capsys, argv):
+    # Every JSON-reading entry point, fed valid JSON of the wrong shape.
+    files = {"bad": [1, 2], "plan_of_scalar_source": {"source": 3},
+             "measure": {"support": [0.0, 1.0], "weights": [0.5, 0.5]},
+             "map": {"values": [0.0, 1.0]}}
+    paths = {name: write(tmp_path / f"{name}.json", obj) for name, obj in files.items()}
+    assert main([a.format(**paths) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_non_finite_output_raises_before_writing(tmp_path):

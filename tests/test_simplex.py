@@ -62,7 +62,9 @@ def test_iteration_limit_reported():
 
 
 def test_beale_degenerate_cycle_terminates():
-    # A classic tableau that cycles under naive largest-coefficient pricing.
+    # A classic tableau that cycles under largest-coefficient pricing with the
+    # first row on ties.  The ratio test here breaks ties by the largest pivot
+    # entry, which already avoids that cycle, so Bland's rule is not reached.
     A = np.array([
         [0.25, -60.0, -1.0 / 25.0, 9.0, 1.0, 0.0, 0.0],
         [0.5, -90.0, -1.0 / 50.0, 3.0, 0.0, 1.0, 0.0],
@@ -73,6 +75,25 @@ def test_beale_degenerate_cycle_terminates():
     sol = solve_standard_form(A, b, c)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(-0.05, abs=1e-12)
+
+
+def test_kuhn_cycle_reaches_blands_rule():
+    # The cycling example credited to Kuhn: Dantzig pricing with the
+    # largest-pivot tie rule cycles through degenerate bases here, and only
+    # the switch to Bland's rule leaves the cycle, after 20 pivots in all.
+    A = np.array([
+        [-2.0, -9.0, 1.0, 9.0, 1.0, 0.0, 0.0],
+        [1.0 / 3.0, 1.0, -1.0 / 3.0, -2.0, 0.0, 1.0, 0.0],
+        [2.0, 3.0, -1.0, -12.0, 0.0, 0.0, 1.0],
+    ])
+    b = np.array([0.0, 0.0, 2.0])
+    c = np.array([-2.0, -3.0, 1.0, 12.0, 0.0, 0.0, 0.0])
+    sol = solve_standard_form(A, b, c, max_iterations=1000)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(-2.0, abs=1e-12)
+    assert sol.objective == pytest.approx(linprog(c, A_eq=A, b_eq=b, method="highs").fun,
+                                          abs=1e-12)
+    assert np.abs(A @ sol.x - b).max() < 1e-12
 
 
 def test_duals_close_strong_duality():
@@ -146,32 +167,28 @@ class TestStart:
         # One crash pivot; the artificial left in the other row is driven out.
         assert sol.iterations == 2
 
-    def test_non_basic_start_falls_back_to_cold(self):
+    def test_non_basic_start_refused(self):
         # Three support columns for two rows: the third finds no artificial row.
-        sol = solve_standard_form(self.A, self.b, self.c, start=[0.5, 0.5, 0.5])
-        cold = solve_standard_form(self.A, self.b, self.c)
-        assert sol.iterations == cold.iterations
-        assert np.array_equal(sol.x, cold.x)
+        with pytest.raises(ValueError, match="start is not a basis"):
+            solve_standard_form(self.A, self.b, self.c, start=[0.5, 0.5, 0.5])
 
-    def test_negative_basic_values_fall_back_to_cold(self):
+    def test_negative_basic_values_refused(self):
         # The only solution is x = (2, -1), so the crash basis {x0, x1}
         # carries a negative value.
         A = np.array([[1.0, 1.0], [1.0, -1.0]])
         b = np.array([1.0, 3.0])
-        sol = solve_standard_form(A, b, [1.0, 1.0], start=[1.0, 1.0])
-        assert sol.status == "infeasible"
-        assert sol.iterations == solve_standard_form(A, b, [1.0, 1.0]).iterations
+        with pytest.raises(ValueError, match="start is not a feasible basis"):
+            solve_standard_form(A, b, [1.0, 1.0], start=[1.0, 1.0])
 
-    def test_phase_one_leftover_falls_back_to_cold(self):
+    def test_phase_one_leftover_is_infeasible(self):
         # x1 = 3 leaves x0 + 2 x2 = -2.  The crash basis {x2} has a nonnegative
-        # right-hand side, but phase 1 from it cannot reach zero infeasibility;
-        # from there it takes two pivots, a cold start one.
+        # right-hand side, and phase 1 from it reaches the same verdict as
+        # from the all-artificial basis.
         A = np.array([[1.0, 1.0, 2.0], [0.0, 1.0, 0.0]])
         b = np.array([1.0, 3.0])
         c = np.ones(3)
-        sol = solve_standard_form(A, b, c, start=[0.0, 0.0, 1.0])
-        assert sol.status == "infeasible"
-        assert sol.iterations == solve_standard_form(A, b, c).iterations == 1
+        assert solve_standard_form(A, b, c, start=[0.0, 0.0, 1.0]).status == "infeasible"
+        assert solve_standard_form(A, b, c).status == "infeasible"
 
     def test_crash_pivots_count_against_the_limit(self):
         sol = solve_standard_form(self.A, self.b, self.c, start=[1.0, 0.0, 1.0],

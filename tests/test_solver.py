@@ -18,6 +18,7 @@ from causalot.solver import (_TOL, LpProblem, build_causal_lp, certify, classic_
                              cost_scale, instance_from_dict, solve,
                              solve_causal_transport, verify_optimality)
 from exact_lp import reduced_lp, solve_exact
+from hard_cases import INFEASIBLE_FINAL_BASIS
 
 
 def uniform_on(points):
@@ -294,6 +295,17 @@ class TestTinyWeights:
                                              abs=1e-8, rel=0)
 
 
+@pytest.mark.parametrize("case", INFEASIBLE_FINAL_BASIS)
+def test_infeasible_final_basis_raises(case):
+    xs, ws, ys, vs, table, optimum = case
+    eta, nu, cost = DiscreteMeasure(xs, ws), DiscreteMeasure(ys, vs), np.array(table)
+    # The instance is valid: the exact oracle solves it.
+    exact = exact_solution(build_causal_lp(eta, nu, cost))
+    assert float(exact.value) == pytest.approx(optimum, rel=1e-15)
+    with pytest.raises(RuntimeError, match="final basis"):
+        solve_causal_transport(eta, nu, cost)
+
+
 class TestCorner:
     @settings(max_examples=150, deadline=None)
     @given(instances())
@@ -313,18 +325,14 @@ class TestCorner:
         assert verify_optimality(problem, warm).ok
         assert certify(problem, problem.plan_mass(cold.x).ravel(), cold.duals).ok
 
-    def test_product_plan_start_falls_back_to_cold(self):
+    def test_product_plan_start_refused(self):
         # The product plan is feasible but not basic: five support columns, four rows.
         eta, nu = uniform_on([0.0, 1.0, 2.0]), DiscreteMeasure([0.5, 10.0], [0.5, 0.5])
         problem = build_causal_lp(eta, nu, "abs")
         start = problem.variables(product_plan(eta, nu).mass)
         assert np.count_nonzero(start) > problem.n_rows
-        lp = (problem.matrix, problem.rhs, problem.objective)
-        sol = solve_standard_form(*lp, start=start)
-        cold = solve_standard_form(*lp)
-        assert sol.objective == cold.objective
-        assert sol.iterations == cold.iterations
-        assert sol.objective == pytest.approx(solve(problem).value, abs=1e-12)
+        with pytest.raises(ValueError, match="start is not a basis"):
+            solve_standard_form(problem.matrix, problem.rhs, problem.objective, start=start)
 
     @pytest.mark.parametrize("atoms", [70, 80])
     def test_gamma_under_1000_pivots(self, atoms):
